@@ -47,7 +47,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;
     for (std::size_t i = 0; i < n; ++i) {
-      q.push(sim::Event{Seconds{times[i]}, i + 1, [] {}, {}});
+      q.push(Seconds{times[i]}, [] {});
     }
     while (!q.empty()) benchmark::DoNotOptimize(q.pop().id);
   }

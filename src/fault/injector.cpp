@@ -88,7 +88,7 @@ FaultInjector::RenewalTimeline& FaultInjector::timeline(DriveId d) {
 
 FaultInjector::RenewalTimeline& FaultInjector::library_timeline(LibraryId lib) {
   TAPESIM_ASSERT(lib.valid());
-  ensure_library(lib.index());
+  ensure_library(lib.value());
   return outages_[lib.index()];
 }
 
@@ -382,7 +382,7 @@ FaultInjector::SlowTimeline& FaultInjector::slow_timeline(DriveId d) {
 
 FaultInjector::SlowTimeline& FaultInjector::robot_slow_timeline(LibraryId lib) {
   TAPESIM_ASSERT(lib.valid());
-  ensure_library(lib.index());
+  ensure_library(lib.value());
   return slow_robots_[lib.index()];
 }
 
@@ -535,7 +535,7 @@ std::optional<Seconds> FaultInjector::drive_slow_within(DriveId d, Seconds at,
 Seconds FaultInjector::robot_jam_delay(LibraryId lib) {
   if (config_.robot_jam_prob <= 0.0) return Seconds{0.0};
   TAPESIM_ASSERT(lib.valid());
-  ensure_library(lib.index());
+  ensure_library(lib.value());
   if (robot_rngs_[lib.index()].uniform() < config_.robot_jam_prob) {
     ++counters_.robot_jams;
     return config_.robot_jam_clear;

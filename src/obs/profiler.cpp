@@ -35,23 +35,16 @@ void Profiler::on_run_end(Seconds sim_now, double wall_s,
   dispatches_ += dispatches;  // exact even when dispatch timing is sampled
 }
 
-void Profiler::on_dispatch_done(Seconds /*sim_now*/, const std::string& label,
+void Profiler::on_dispatch_done(Seconds /*sim_now*/, const char* kind,
                                 double wall_s, std::size_t queue_depth) {
   ++sampled_dispatches_;
   dispatch_wall_s_ += wall_s;
   queue_high_water_ = std::max(queue_high_water_, queue_depth);
   queue_depth_sum_ += static_cast<double>(queue_depth);
-  DispatchStats* stats;
-  if (label.empty()) {
-    // The hot path schedules unlabeled events; skip the map lookup.
-    if (unlabeled_ == nullptr) unlabeled_ = &by_label_[std::string()];
-    stats = unlabeled_;
-  } else {
-    stats = &by_label_[label];
-  }
-  ++stats->count;
-  stats->wall_s += wall_s;
-  stats->max_wall_s = std::max(stats->max_wall_s, wall_s);
+  DispatchStats& stats = by_kind_[kind];
+  ++stats.count;
+  stats.wall_s += wall_s;
+  stats.max_wall_s = std::max(stats.max_wall_s, wall_s);
 }
 
 ProfileReport Profiler::report() const {
@@ -68,7 +61,12 @@ ProfileReport Profiler::report() const {
       sampled_dispatches_ == 0
           ? 0.0
           : queue_depth_sum_ / static_cast<double>(sampled_dispatches_);
-  r.by_label = by_label_;
+  for (const auto& [kind, stats] : by_kind_) {
+    DispatchStats& merged = r.by_label[kind == nullptr ? "" : kind];
+    merged.count += stats.count;
+    merged.wall_s += stats.wall_s;
+    merged.max_wall_s = std::max(merged.max_wall_s, stats.max_wall_s);
+  }
   return r;
 }
 
@@ -82,8 +80,7 @@ void Profiler::reset() {
   run_begin_ = Seconds{0.0};
   queue_high_water_ = 0;
   queue_depth_sum_ = 0.0;
-  by_label_.clear();
-  unlabeled_ = nullptr;
+  by_kind_.clear();
 }
 
 void Profiler::export_to(Registry& registry) const {

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "sim/profile.hpp"
 #include "util/units.hpp"
@@ -34,7 +35,7 @@ namespace tapesim::obs {
 
 class Registry;
 
-/// Aggregate dispatch cost of one event label ("" = unlabeled hot path).
+/// Aggregate dispatch cost of one event kind ("" = unlabeled).
 struct DispatchStats {
   std::uint64_t count = 0;
   double wall_s = 0.0;
@@ -63,6 +64,8 @@ struct ProfileReport {
   double sim_advanced_s = 0.0;   ///< simulated time covered by the runs
   std::size_t queue_high_water = 0;
   double queue_depth_mean = 0.0;
+  /// Keyed by event kind; kinds with equal text from different call
+  /// sites are merged.
   std::map<std::string, DispatchStats> by_label;
 
   /// Wall time inside event actions scaled up from the sampled subset;
@@ -126,8 +129,8 @@ class Profiler final : public sim::ProfileSink {
   void on_run_begin(Seconds sim_now) override;
   void on_run_end(Seconds sim_now, double wall_s,
                   std::uint64_t dispatches) override;
-  void on_dispatch_done(Seconds sim_now, const std::string& label,
-                        double wall_s, std::size_t queue_depth) override;
+  void on_dispatch_done(Seconds sim_now, const char* kind, double wall_s,
+                        std::size_t queue_depth) override;
   [[nodiscard]] std::size_t dispatch_sample_stride() const override {
     return stride_;
   }
@@ -145,8 +148,10 @@ class Profiler final : public sim::ProfileSink {
   Seconds run_begin_{0.0};
   std::size_t queue_high_water_ = 0;
   double queue_depth_sum_ = 0.0;
-  std::map<std::string, DispatchStats> by_label_;
-  DispatchStats* unlabeled_ = nullptr;  ///< fast path for the "" bucket
+  /// Keyed by the kind pointer itself (nullptr = unlabeled): a sampled
+  /// dispatch hashes one pointer and builds no string. report() merges
+  /// equal texts.
+  std::unordered_map<const char*, DispatchStats> by_kind_;
 };
 
 }  // namespace tapesim::obs

@@ -90,13 +90,13 @@ class Tracer::EngineSink final : public sim::TraceSink {
             BucketLayout::exponential(1e-3, 1e6, 2.0))) {}
 
   void on_schedule(Seconds now, Seconds at, sim::EventId /*event_id*/,
-                   const std::string& /*label*/) override {
+                   const char* /*kind*/) override {
     scheduled_.inc();
     horizon_.record((at - now).count());
   }
 
   void on_dispatch(Seconds time, sim::EventId /*event_id*/,
-                   const std::string& /*label*/) override {
+                   const char* /*kind*/) override {
     dispatched_.inc();
     tracer_.take_samples(time);
     if (tracer_.timeseries_ != nullptr) {

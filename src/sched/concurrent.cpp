@@ -172,9 +172,9 @@ void ConcurrentSimulator::serve_next(DriveId d) {
         credit(demand);
         drive_busy_[d.index()] = false;
         drive_check(d);
-      });
+      }, "serve.transfer");
     });
-  });
+  }, "serve.locate");
 }
 
 void ConcurrentSimulator::maybe_switch(DriveId d) {
@@ -238,8 +238,8 @@ void ConcurrentSimulator::begin_switch(DriveId d, TapeId target) {
             ++total_switches_;
             drive_busy_[d.index()] = false;
             drive_check(d);
-          });
-        });
+          }, "switch.load");
+        }, "switch.exchange");
       };
       if (!had_tape) {
         do_moves();
@@ -251,7 +251,7 @@ void ConcurrentSimulator::begin_switch(DriveId d, TapeId target) {
         const TapeId old = system_.drive(d).finish_unload();
         system_.note_unmounted(old);
         do_moves();
-      });
+      }, "switch.unload");
     });
   };
 
@@ -263,7 +263,7 @@ void ConcurrentSimulator::begin_switch(DriveId d, TapeId target) {
   engine_.schedule_in(rewind, [this, d, exchange]() {
     system_.drive(d).finish_rewind();
     exchange(true);
-  });
+  }, "switch.rewind");
 }
 
 std::vector<SojournOutcome> ConcurrentSimulator::run(
@@ -279,7 +279,8 @@ std::vector<SojournOutcome> ConcurrentSimulator::run(
         i == 0 || arrivals[i].time >= arrivals[i - 1].time,
         "arrival schedule must be sorted by time");
     outcomes_[i].request = arrivals[i].request;
-    engine_.schedule_at(arrivals[i].time, [this, i]() { on_arrival(i); });
+    engine_.schedule_at(
+        arrivals[i].time, [this, i]() { on_arrival(i); }, "arrival");
   }
   engine_.run();
 

@@ -86,7 +86,8 @@ OverloadReport OverloadRunner::run(
       if (config_.pause_repair_under_pressure) {
         sim_.set_overload_pressure(false);
       }
-      eng.schedule_at(std::max(eng.now(), arrivals[next].time), []() {});
+      eng.schedule_at(
+          std::max(eng.now(), arrivals[next].time), []() {}, "overload.idle");
       eng.run();
       continue;
     }

@@ -133,10 +133,11 @@ std::vector<catalog::TapeExtent> RetrievalSimulator::plan_extent_order(
 }
 
 void RetrievalSimulator::schedule_activity(DriveId d, Seconds duration,
-                                           std::function<void()> on_done) {
+                                           sim::Action on_done,
+                                           const char* kind) {
   ctx_[d.index()].activity_start = engine_.now();
   if (fault_ == nullptr) {
-    engine_.schedule_in(duration, std::move(on_done));
+    engine_.schedule_in(duration, std::move(on_done), kind);
     return;
   }
   if (const auto fail_after =
@@ -144,14 +145,15 @@ void RetrievalSimulator::schedule_activity(DriveId d, Seconds duration,
     // The completion is already booked when the fault strikes, exactly as a
     // real controller would have it; the failure event retracts it and runs
     // the recovery path instead.
-    const sim::EventId done = engine_.schedule_in(duration, std::move(on_done));
+    const sim::EventId done =
+        engine_.schedule_in(duration, std::move(on_done), kind);
     engine_.schedule_in(*fail_after, [this, d, done]() {
       engine_.cancel(done);
       on_drive_failure(d);
-    });
+    }, "drive.fail");
     return;
   }
-  engine_.schedule_in(duration, std::move(on_done));
+  engine_.schedule_in(duration, std::move(on_done), kind);
 }
 
 bool RetrievalSimulator::drive_available(DriveId d) {
@@ -200,7 +202,7 @@ void RetrievalSimulator::repair_drive(DriveId d) {
     } else {
       next_action(d);
     }
-  });
+  }, "drive.repaired");
 }
 
 void RetrievalSimulator::on_drive_failure(DriveId d) {
@@ -231,7 +233,8 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
 
   drive.fail(elapsed);
   ctx.failed_at = now;
-  ctx.transfer_event = 0;  // the completion was retracted by the interrupt
+  // The interrupt retracted the pending completion.
+  ctx.transfer_event = sim::kNoEvent;
   if (config_.tracer != nullptr) {
     config_.tracer->marker(obs::Track::kDrive, d.value(),
                            permanent ? "drive failed (permanent)"
@@ -308,7 +311,8 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
       abandon_repair(std::move(job));
     } else {
       repair_queue_.push_back(std::move(job));
-      engine_.schedule_in(Seconds{0.0}, [this]() { pump_repairs(); });
+      engine_.schedule_in(
+          Seconds{0.0}, [this]() { pump_repairs(); }, "repair.pump");
     }
     // The claimed tape may be foreground demand that skipped the queue
     // while the repair held it (unless it is stuck in this very drive —
@@ -342,8 +346,9 @@ void RetrievalSimulator::on_drive_failure(DriveId d) {
   if (stuck.valid() && needed_.count(stuck.value()) != 0 && !lib_down) {
     recover_cartridge(d);
   }
-  engine_.schedule_in(Seconds{0.0},
-                      [this, lib_id]() { ensure_progress(lib_id); });
+  engine_.schedule_in(
+      Seconds{0.0}, [this, lib_id]() { ensure_progress(lib_id); },
+      "library.progress");
 }
 
 void RetrievalSimulator::recover_cartridge(DriveId d) {
@@ -380,7 +385,7 @@ void RetrievalSimulator::recover_cartridge(DriveId d) {
         lib_queue_[system_.library_of_tape(tp).index()].push_front(tp);
       }
       ensure_progress(lib_id);
-    });
+    }, "rescue.exchange");
   });
 }
 
@@ -396,9 +401,9 @@ void RetrievalSimulator::extent_unavailable(
 // --- deadline enforcement -----------------------------------------------
 
 void RetrievalSimulator::cancel_deadline_event() {
-  if (deadline_event_ == 0) return;
+  if (deadline_event_ == sim::kNoEvent) return;
   engine_.cancel(deadline_event_);
-  deadline_event_ = 0;
+  deadline_event_ = sim::kNoEvent;
 }
 
 void RetrievalSimulator::extent_expired(const catalog::TapeExtent& extent) {
@@ -409,7 +414,7 @@ void RetrievalSimulator::extent_expired(const catalog::TapeExtent& extent) {
 }
 
 void RetrievalSimulator::on_deadline() {
-  deadline_event_ = 0;
+  deadline_event_ = sim::kNoEvent;
   TAPESIM_ASSERT_MSG(remaining_extents_ > 0,
                      "deadline event outlived its request");
   expired_ = true;
@@ -561,7 +566,7 @@ void RetrievalSimulator::ensure_progress(LibraryId lib_id) {
       engine_.schedule_at(std::max(earliest, now), [this, lib_id]() {
         watch_pending_[lib_id.index()] = false;
         ensure_progress(lib_id);
-      });
+      }, "library.watch");
     }
     return;
   }
@@ -711,7 +716,9 @@ void RetrievalSimulator::register_outage(LibraryId lib) {
     }
     for (const TapeId tp : pending) outage_reroute(tp);
   }
-  engine_.schedule_in(Seconds{0.0}, [this, lib]() { ensure_progress(lib); });
+  engine_.schedule_in(
+      Seconds{0.0}, [this, lib]() { ensure_progress(lib); },
+      "outage.progress");
 }
 
 void RetrievalSimulator::register_restore(LibraryId lib) {
@@ -750,7 +757,7 @@ void RetrievalSimulator::register_restore(LibraryId lib) {
     kick_idle_drives(lib);
     ensure_progress(lib);
     pump_repairs();
-  });
+  }, "outage.restore");
 }
 
 void RetrievalSimulator::outage_reroute(TapeId tp) {
@@ -959,7 +966,7 @@ void RetrievalSimulator::serve_step(DriveId d) {
       }
       begin_transfer(d, extent);
     });
-  });
+  }, "serve.locate");
 }
 
 void RetrievalSimulator::begin_transfer(DriveId d,
@@ -986,7 +993,7 @@ void RetrievalSimulator::begin_transfer(DriveId d,
   const Seconds xfer = drive.start_transfer(extent.size, mult);
   ctx_[d.index()].activity_start = engine_.now();
   auto complete = [this, d, extent, xfer]() {
-    ctx_[d.index()].transfer_event = 0;
+    ctx_[d.index()].transfer_event = sim::kNoEvent;
     disk_streams_.release();
     ctx_[d.index()].disk_held = false;
     system_.drive(d).finish_transfer();
@@ -1021,7 +1028,7 @@ void RetrievalSimulator::begin_transfer(DriveId d,
     governor_.note_demand(GovernorClass::kRetry);
   }
   if (fault_ == nullptr) {
-    engine_.schedule_in(xfer, std::move(complete));
+    engine_.schedule_in(xfer, std::move(complete), "serve.transfer");
     return;
   }
   const TapeId tp = drive.mounted();
@@ -1046,23 +1053,25 @@ void RetrievalSimulator::begin_transfer(DriveId d,
   if (const auto fail_after =
           fault_->failure_within(d, engine_.now(), horizon)) {
     // Hardware failure strikes before the read error (if any) would.
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
+    const sim::EventId done =
+        engine_.schedule_in(xfer, std::move(complete), "serve.transfer");
     engine_.schedule_in(*fail_after, [this, d, done]() {
       engine_.cancel(done);
       on_drive_failure(d);
-    });
+    }, "drive.fail");
     return;
   }
   if (media_at.has_value()) {
-    engine_.schedule_in(*media_at,
-                        [this, d, latent]() { on_media_failure(d, latent); });
+    engine_.schedule_in(
+        *media_at, [this, d, latent]() { on_media_failure(d, latent); },
+        "serve.media_error");
     return;
   }
   // Clean stream: no fault or media interrupt is booked, so the pending
   // completion is safely cancellable — the hedge machinery may retract
   // it if this transfer turns out to be a losing leg.
   ctx_[d.index()].transfer_event =
-      engine_.schedule_in(xfer, std::move(complete));
+      engine_.schedule_in(xfer, std::move(complete), "serve.transfer");
   maybe_arm_hedge(d, extent, xfer);
 }
 
@@ -1164,7 +1173,7 @@ void RetrievalSimulator::on_media_failure(DriveId d, bool latent) {
   }
   ++chain.retries;
   ++media_retries_this_request_;
-  engine_.schedule_in(delay, [this, d]() { serve_step(d); });
+  engine_.schedule_in(delay, [this, d]() { serve_step(d); }, "serve.retry");
 }
 
 void RetrievalSimulator::extent_done(DriveId d) {
@@ -1323,7 +1332,7 @@ void RetrievalSimulator::begin_switch(DriveId d, TapeId target) {
             ctx_[d.index()].robot_held = false;
           }
           attempt_load(d, target);
-        });
+        }, "switch.exchange");
       };
       if (!had_tape) {
         do_moves();
@@ -1340,7 +1349,7 @@ void RetrievalSimulator::begin_switch(DriveId d, TapeId target) {
         // drive (no-op unless it is needed and unclaimed).
         requeue_if_needed(old);
         do_moves();
-      });
+      }, "switch.unload");
     });
     // Remember the waiter so a deadline can withdraw it; the grant (which
     // fires as a separate event, never inside acquire) clears it again.
@@ -1356,7 +1365,7 @@ void RetrievalSimulator::begin_switch(DriveId d, TapeId target) {
   schedule_activity(d, rewind, [this, d, exchange]() {
     system_.drive(d).finish_rewind();
     exchange(true);
-  });
+  }, "switch.rewind");
 }
 
 void RetrievalSimulator::attempt_load(DriveId d, TapeId target) {
@@ -1383,7 +1392,7 @@ void RetrievalSimulator::attempt_load(DriveId d, TapeId target) {
                              engine_.now());
     }
     finish_mount(d, target);
-  });
+  }, "switch.load");
 }
 
 void RetrievalSimulator::finish_mount(DriveId d, TapeId target) {
@@ -1437,7 +1446,7 @@ void RetrievalSimulator::on_mount_failure(DriveId d, TapeId target) {
           return;
         }
         attempt_load(d, target);
-      });
+      }, "switch.mount_retry");
       return;
     }
   }
@@ -1466,7 +1475,7 @@ void RetrievalSimulator::on_mount_failure(DriveId d, TapeId target) {
   };
   auto do_return = [this, &lib, return_done]() {
     const Seconds move = robot_move_delay(lib, lib.robot_move_time());
-    engine_.schedule_in(move, return_done);
+    engine_.schedule_in(move, return_done, "switch.return");
   };
   if (ctx.robot_held) {
     do_return();
@@ -1688,11 +1697,11 @@ void RetrievalSimulator::quarantine_unmount(DriveId d) {
           // the quarantine guard fired); hand it to a healthy drive.
           requeue_if_needed(old);
           ensure_progress(lib_id);
-        });
-      });
+        }, "quarantine.return");
+      }, "quarantine.unload");
     });
     ctx_[d.index()].robot_ticket = ticket;
-  });
+  }, "quarantine.rewind");
 }
 
 double RetrievalSimulator::hedge_threshold_ratio() const {
@@ -1725,7 +1734,7 @@ void RetrievalSimulator::maybe_arm_hedge(DriveId d,
   const Seconds eta = engine_.now() + xfer;
   engine_.schedule_in(trigger, [this, d, extent, eta]() {
     maybe_launch_hedge(d, extent, eta);
-  });
+  }, "hedge.alarm");
 }
 
 void RetrievalSimulator::maybe_launch_hedge(DriveId d,
@@ -1878,9 +1887,9 @@ void RetrievalSimulator::cancel_hedge_loser(ObjectId obj, TapeId loser) {
     if (chain.index < chain.extents.size() &&
         chain.extents[chain.index].object == obj &&
         drive.state() == tape::DriveState::kTransferring &&
-        ctx_[i].transfer_event != 0) {
+        ctx_[i].transfer_event != sim::kNoEvent) {
       engine_.cancel(ctx_[i].transfer_event);
-      ctx_[i].transfer_event = 0;
+      ctx_[i].transfer_event = sim::kNoEvent;
       const Bytes before = drive.head();
       drive.abort_transfer(engine_.now() - ctx_[i].activity_start);
       const std::uint64_t wasted =
@@ -2046,7 +2055,7 @@ void RetrievalSimulator::route_extent(const catalog::ObjectRecord& alt) {
         const tape::TapeDrive& dr = system_.drive(d);
         if (dr.failed() || dr.empty()) return;
         if (needed_.count(dr.mounted().value()) != 0) serve_mounted(d);
-      });
+      }, "failover.kick");
     }
     // Busy holder: serve_step's chain-end check picks the extent up.
     return;
@@ -2065,7 +2074,7 @@ void RetrievalSimulator::route_extent(const catalog::ObjectRecord& alt) {
   engine_.schedule_in(Seconds{0.0}, [this, lib]() {
     kick_idle_drives(lib);
     ensure_progress(lib);
-  });
+  }, "failover.progress");
 }
 
 void RetrievalSimulator::on_cartridge_health_change(
@@ -2124,7 +2133,8 @@ void RetrievalSimulator::schedule_repairs_for(TapeId tp) {
       ++repair_stats_.jobs_scheduled;
     }
   }
-  engine_.schedule_in(Seconds{0.0}, [this]() { pump_repairs(); });
+  engine_.schedule_in(
+      Seconds{0.0}, [this]() { pump_repairs(); }, "repair.pump");
 }
 
 void RetrievalSimulator::pump_repairs() {
@@ -2172,7 +2182,7 @@ void RetrievalSimulator::requeue_if_needed(TapeId tp) {
   engine_.schedule_in(Seconds{0.0}, [this, lib]() {
     kick_idle_drives(lib);
     ensure_progress(lib);
-  });
+  }, "requeue.progress");
 }
 
 bool RetrievalSimulator::tape_claimed(TapeId tp, DriveId self) const {
@@ -2395,23 +2405,28 @@ void RetrievalSimulator::start_repair(DriveId d, RepairJob job) {
 }
 
 void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
-                                      std::function<void()> then) {
+                                      sim::Action then) {
   tape::TapeDrive& drive = system_.drive(d);
   tape::TapeLibrary& lib = system_.library(system_.library_of_drive(d));
   // Same physics as begin_switch — rewind, robot exchange, load — but no
   // request-side accounting: repair traffic is not a tape switch of any
   // request and draws no queue-wait spans.
-  auto exchange = [this, d, &lib, target, then](bool had_tape) {
-    lib.robot().acquire([this, d, &lib, target, had_tape, then]() {
+  // `then` runs once, so it moves down the chain of continuations.
+  auto exchange = [this, d, &lib, target,
+                   then = std::move(then)](bool had_tape) mutable {
+    lib.robot().acquire([this, d, &lib, target, had_tape,
+                         then = std::move(then)]() mutable {
       ctx_[d.index()].robot_held = true;
       if (fault_ != nullptr && !fault_->drive_online(d, engine_.now())) {
         on_drive_failure(d);
         return;
       }
-      auto do_moves = [this, d, &lib, target, had_tape, then]() {
+      auto do_moves = [this, d, &lib, target, had_tape,
+                       then = std::move(then)]() mutable {
         const Seconds move = robot_move_delay(
             lib, had_tape ? lib.robot_exchange_time() : lib.robot_move_time());
-        engine_.schedule_in(move, [this, d, &lib, target, then]() {
+        engine_.schedule_in(move, [this, d, &lib, target,
+                                   then = std::move(then)]() mutable {
           if (fault_ != nullptr && !fault_->drive_online(d, engine_.now())) {
             on_drive_failure(d);
             return;
@@ -2422,7 +2437,8 @@ void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
           }
           tape::TapeDrive& dr = system_.drive(d);
           const Seconds load = dr.start_load(target);
-          schedule_activity(d, load, [this, d, target, &lib, then]() {
+          schedule_activity(d, load, [this, d, target, &lib,
+                                      then = std::move(then)]() mutable {
             if (fault_ != nullptr &&
                 fault_->mount_attempt_fails(d, engine_.now())) {
               if (ctx_[d.index()].scrub.has_value()) {
@@ -2439,8 +2455,8 @@ void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
             system_.drive(d).finish_load();
             system_.note_mounted(target, d);
             then();
-          });
-        });
+          }, "background.load");
+        }, "background.exchange");
       };
       if (!had_tape) {
         do_moves();
@@ -2448,14 +2464,15 @@ void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
       }
       tape::TapeDrive& dr = system_.drive(d);
       const Seconds unload = dr.start_unload();
-      schedule_activity(d, unload, [this, d, do_moves]() {
+      schedule_activity(d, unload, [this, d,
+                                    do_moves = std::move(do_moves)]() mutable {
         const TapeId old = system_.drive(d).finish_unload();
         system_.note_unmounted(old);
         // Demand for the evicted tape may have arrived mid-repair; this
         // drive will not serve it, so put it back in foreground rotation.
         requeue_if_needed(old);
         do_moves();
-      });
+      }, "background.unload");
     });
   };
   if (drive.empty()) {
@@ -2463,10 +2480,11 @@ void RetrievalSimulator::repair_mount(DriveId d, TapeId target,
     return;
   }
   const Seconds rewind = drive.start_rewind();
-  schedule_activity(d, rewind, [this, d, exchange]() {
+  schedule_activity(d, rewind, [this, d,
+                                exchange = std::move(exchange)]() mutable {
     system_.drive(d).finish_rewind();
     exchange(true);
-  });
+  }, "background.rewind");
 }
 
 void RetrievalSimulator::repair_mount_failure(DriveId d) {
@@ -2506,7 +2524,7 @@ void RetrievalSimulator::repair_mount_failure(DriveId d) {
   };
   auto do_return = [this, &lib, return_done = std::move(return_done)]() mutable {
     const Seconds move = robot_move_delay(lib, lib.robot_move_time());
-    engine_.schedule_in(move, std::move(return_done));
+    engine_.schedule_in(move, std::move(return_done), "repair.return");
   };
   if (ctx.robot_held) {
     do_return();
@@ -2535,7 +2553,7 @@ void RetrievalSimulator::repair_read(DriveId d) {
       }
       repair_read_transfer(d);
     });
-  });
+  }, "repair.locate");
 }
 
 void RetrievalSimulator::repair_read_transfer(DriveId d) {
@@ -2563,18 +2581,21 @@ void RetrievalSimulator::repair_read_transfer(DriveId d) {
   const Seconds horizon = media_at.has_value() ? *media_at : xfer;
   if (const auto fail_after =
           fault_->failure_within(d, engine_.now(), horizon)) {
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
+    const sim::EventId done =
+        engine_.schedule_in(xfer, std::move(complete), "repair.read");
     engine_.schedule_in(*fail_after, [this, d, done]() {
       engine_.cancel(done);
       on_drive_failure(d);
-    });
+    }, "drive.fail");
     return;
   }
   if (media_at.has_value()) {
-    engine_.schedule_in(*media_at, [this, d]() { repair_media_error(d); });
+    engine_.schedule_in(
+        *media_at, [this, d]() { repair_media_error(d); },
+        "repair.media_error");
     return;
   }
-  engine_.schedule_in(xfer, std::move(complete));
+  engine_.schedule_in(xfer, std::move(complete), "repair.read");
 }
 
 void RetrievalSimulator::repair_media_error(DriveId d) {
@@ -2640,7 +2661,7 @@ void RetrievalSimulator::repair_write_locate(DriveId d) {
       }
       repair_write_transfer(d);
     });
-  });
+  }, "repair.locate");
 }
 
 void RetrievalSimulator::repair_write_transfer(DriveId d) {
@@ -2660,19 +2681,20 @@ void RetrievalSimulator::repair_write_transfer(DriveId d) {
   // a per-read draw), but the drive can still die mid-write.
   if (const auto fail_after =
           fault_->failure_within(d, engine_.now(), xfer)) {
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
+    const sim::EventId done =
+        engine_.schedule_in(xfer, std::move(complete), "repair.write");
     engine_.schedule_in(*fail_after, [this, d, done]() {
       engine_.cancel(done);
       on_drive_failure(d);
-    });
+    }, "drive.fail");
     return;
   }
-  engine_.schedule_in(xfer, std::move(complete));
+  engine_.schedule_in(xfer, std::move(complete), "repair.write");
 }
 
 void RetrievalSimulator::background_pace(DriveId d, Seconds xfer,
-                                         double fraction,
-                                         std::function<void()> next) {
+                                         double fraction, sim::Action next,
+                                         const char* kind) {
   if (fraction >= 1.0) {
     next();
     return;
@@ -2681,17 +2703,17 @@ void RetrievalSimulator::background_pace(DriveId d, Seconds xfer,
   // throughput is fraction × native rate, while per-byte transfer
   // accounting (DriveStats, span conservation) stays at native rate.
   const Seconds pace = xfer * ((1.0 - fraction) / fraction);
-  engine_.schedule_in(pace, [this, d, next = std::move(next)]() {
+  engine_.schedule_in(pace, [this, d, next = std::move(next)]() mutable {
     if (fault_ != nullptr && !fault_->drive_online(d, engine_.now())) {
       on_drive_failure(d);
       return;
     }
     next();
-  });
+  }, kind);
 }
 
 void RetrievalSimulator::repair_pace(DriveId d, Seconds xfer,
-                                     std::function<void()> next) {
+                                     sim::Action next) {
   const DriveCtx& ctx = ctx_[d.index()];
   const bool dr = ctx.repair.has_value() && ctx.repair->dr_from.valid();
   // Under metastable shedding the governor clamps repair/DR bandwidth so
@@ -2700,7 +2722,7 @@ void RetrievalSimulator::repair_pace(DriveId d, Seconds xfer,
                   (dr ? config_.faults.outage.dr_bandwidth_fraction
                       : config_.repair.bandwidth_fraction) *
                       governor_.repair_clamp(),
-                  std::move(next));
+                  std::move(next), "repair.pace");
 }
 
 void RetrievalSimulator::complete_repair(DriveId d) {
@@ -2780,8 +2802,9 @@ void RetrievalSimulator::release_repair_drive(DriveId d) {
       return;
     }
     next_action(d);  // pulls the lib queue, or falls back to more repair
-  });
-  engine_.schedule_in(Seconds{0.0}, [this]() { pump_repairs(); });
+  }, "repair.release");
+  engine_.schedule_in(
+      Seconds{0.0}, [this]() { pump_repairs(); }, "repair.pump");
 }
 
 Seconds RetrievalSimulator::next_repair_wake() {
@@ -2826,7 +2849,7 @@ void RetrievalSimulator::drain_repairs() {
       const Seconds wake = next_repair_wake();
       if (wake < kNever) {
         engine_.schedule_at(std::max(wake, engine_.now()),
-                            [this]() { pump_repairs(); });
+                            [this]() { pump_repairs(); }, "repair.wake");
         continue;
       }
       // The world is static with jobs still queued: every remaining job
@@ -2965,7 +2988,7 @@ void RetrievalSimulator::scrub_segment(DriveId d) {
   schedule_activity(d, locate, [this, d, seg]() {
     system_.drive(d).finish_locate();
     scrub_transfer(d, seg);
-  });
+  }, "scrub.locate");
 }
 
 void RetrievalSimulator::scrub_transfer(DriveId d, Bytes seg) {
@@ -2995,18 +3018,21 @@ void RetrievalSimulator::scrub_transfer(DriveId d, Bytes seg) {
   const Seconds horizon = media_at.has_value() ? *media_at : xfer;
   if (const auto fail_after =
           fault_->failure_within(d, engine_.now(), horizon)) {
-    const sim::EventId done = engine_.schedule_in(xfer, std::move(complete));
+    const sim::EventId done =
+        engine_.schedule_in(xfer, std::move(complete), "scrub.read");
     engine_.schedule_in(*fail_after, [this, d, done]() {
       engine_.cancel(done);
       on_drive_failure(d);
-    });
+    }, "drive.fail");
     return;
   }
   if (media_at.has_value()) {
-    engine_.schedule_in(*media_at, [this, d]() { scrub_media_error(d); });
+    engine_.schedule_in(
+        *media_at, [this, d]() { scrub_media_error(d); },
+        "scrub.media_error");
     return;
   }
-  engine_.schedule_in(xfer, std::move(complete));
+  engine_.schedule_in(xfer, std::move(complete), "scrub.read");
 }
 
 void RetrievalSimulator::scrub_media_error(DriveId d) {
@@ -3058,7 +3084,7 @@ void RetrievalSimulator::scrub_segment_done(DriveId d, Bytes seg,
     return;
   }
   background_pace(d, xfer, config_.scrub.bandwidth_fraction,
-                  [this, d]() { scrub_segment(d); });
+                  [this, d]() { scrub_segment(d); }, "scrub.pace");
 }
 
 void RetrievalSimulator::scrub_mount_failure(DriveId d) {
@@ -3079,7 +3105,7 @@ void RetrievalSimulator::scrub_mount_failure(DriveId d) {
   };
   auto do_return = [this, &lib, return_done]() {
     const Seconds move = robot_move_delay(lib, lib.robot_move_time());
-    engine_.schedule_in(move, return_done);
+    engine_.schedule_in(move, return_done, "scrub.return");
   };
   if (ctx.robot_held) {
     do_return();
@@ -3166,7 +3192,8 @@ void RetrievalSimulator::begin_evacuation(TapeId tp) {
     return;
   }
   evac_outstanding_[tp.value()] = jobs;
-  engine_.schedule_in(Seconds{0.0}, [this]() { pump_repairs(); });
+  engine_.schedule_in(
+      Seconds{0.0}, [this]() { pump_repairs(); }, "repair.pump");
 }
 
 void RetrievalSimulator::note_evac_job_done(TapeId tp) {
@@ -3273,7 +3300,7 @@ void RetrievalSimulator::recover_from_crash(Seconds at, double torn) {
     parked = true;
     ++recovery_stats_.admissions_parked;
     recovery_stats_.parked += back_at - engine_.now();
-    engine_.schedule_at(back_at, []() {});
+    engine_.schedule_at(back_at, []() {}, "recovery.park");
     engine_.run();
   }
   // The recovered server checkpoints immediately: the replayed state is
@@ -3322,7 +3349,7 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
   deadline_abs_ = rctx.deadline;
   priority_ = rctx.priority;
   expired_ = false;
-  deadline_event_ = 0;
+  deadline_event_ = sim::kNoEvent;
   bytes_expired_this_request_ = Bytes{};
   extents_expired_this_request_ = 0;
   const bool has_deadline =
@@ -3491,7 +3518,8 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
   // Kick off drives holding requested tapes.
   std::sort(mounted_serving.begin(), mounted_serving.end());
   for (const DriveId d : mounted_serving) {
-    engine_.schedule_in(Seconds{0.0}, [this, d]() { serve_mounted(d); });
+    engine_.schedule_in(
+        Seconds{0.0}, [this, d]() { serve_mounted(d); }, "serve.start");
   }
 
   // Drives whose mounted tape holds nothing requested may switch at once.
@@ -3523,7 +3551,8 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
               return a < b;
             });
   for (const DriveId d : idle_candidates) {
-    engine_.schedule_in(Seconds{0.0}, [this, d]() { next_action(d); });
+    engine_.schedule_in(
+        Seconds{0.0}, [this, d]() { next_action(d); }, "drive.next");
   }
   if (fault_ != nullptr) {
     // A library whose entire drive fleet is down would otherwise leave its
@@ -3531,7 +3560,7 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
     for (std::uint32_t lib = 0; lib < plan_->spec().num_libraries; ++lib) {
       engine_.schedule_in(Seconds{0.0}, [this, lib]() {
         ensure_progress(LibraryId{lib});
-      });
+      }, "library.progress");
     }
   }
 
@@ -3539,7 +3568,8 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
   // scheduled above win ties at the deadline instant.
   if (has_deadline && remaining_extents_ > 0) {
     deadline_event_ =
-        engine_.schedule_at(deadline_abs_, [this]() { on_deadline(); });
+        engine_.schedule_at(
+            deadline_abs_, [this]() { on_deadline(); }, "deadline");
   }
 
   engine_.run();

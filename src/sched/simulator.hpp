@@ -12,7 +12,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -258,11 +257,11 @@ class RetrievalSimulator {
       DriveId d) const;
 
   // --- fault handling (all no-ops / never reached when fault_ is null) ---
-  /// Schedules the completion of a drive activity; with faults enabled and
-  /// a failure striking mid-activity, the completion is cancelled and the
-  /// failure handler runs instead.
-  void schedule_activity(DriveId d, Seconds duration,
-                         std::function<void()> on_done);
+  /// Schedules the completion of a drive activity as an event of `kind`;
+  /// with faults enabled and a failure striking mid-activity, the
+  /// completion is cancelled and the failure handler runs instead.
+  void schedule_activity(DriveId d, Seconds duration, sim::Action on_done,
+                         const char* kind);
   /// Lazily reconciles drive `d` with its failure timeline. True when the
   /// drive is usable now (possibly just repaired). Only call on drives with
   /// no in-flight activity; active drives fail via activity preemption.
@@ -448,7 +447,7 @@ class RetrievalSimulator {
                                           const RepairJob& job) const;
   /// Mounts `target` on `d` for a repair job (rewind/unload/robot/load,
   /// same physics as begin_switch but outside request accounting).
-  void repair_mount(DriveId d, TapeId target, std::function<void()> then);
+  void repair_mount(DriveId d, TapeId target, sim::Action then);
   void repair_mount_failure(DriveId d);
   void scrub_mount_failure(DriveId d);
   void repair_read(DriveId d);
@@ -460,10 +459,10 @@ class RetrievalSimulator {
   void complete_repair(DriveId d);
   /// Bandwidth duty cycle shared by every background consumer: idle `d`
   /// after a full-rate transfer of `xfer` so its average background rate is
-  /// `fraction` of the native rate.
+  /// `fraction` of the native rate. The idle tail is an event of `kind`.
   void background_pace(DriveId d, Seconds xfer, double fraction,
-                       std::function<void()> next);
-  void repair_pace(DriveId d, Seconds xfer, std::function<void()> next);
+                       sim::Action next, const char* kind);
+  void repair_pace(DriveId d, Seconds xfer, sim::Action next);
   void abandon_repair(RepairJob job);
   /// Post-repair dispatch: foreground work first, then further repair.
   void release_repair_drive(DriveId d);
@@ -579,8 +578,8 @@ class RetrievalSimulator {
     std::optional<ScrubJob> scrub;
     /// Pending completion of a clean foreground transfer (no fault or
     /// media interrupt booked); lets the hedge machinery cancel the
-    /// losing leg mid-stream. 0 when no cancellable transfer is up.
-    sim::EventId transfer_event = 0;
+    /// losing leg mid-stream. kNoEvent when no cancellable transfer is up.
+    sim::EventId transfer_event = sim::kNoEvent;
   };
   std::vector<DriveCtx> ctx_;
 
@@ -609,7 +608,7 @@ class RetrievalSimulator {
   // --- overload state (inert defaults: bit-identical when unused) ---
   Seconds deadline_abs_{metrics::RequestOutcome::kNoDeadline};
   Priority priority_ = Priority::kForeground;
-  sim::EventId deadline_event_ = 0;
+  sim::EventId deadline_event_ = sim::kNoEvent;
   bool expired_ = false;  ///< Current request blew its deadline.
   Bytes bytes_expired_this_request_{};
   std::uint32_t extents_expired_this_request_ = 0;

@@ -17,19 +17,20 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-EventId Engine::schedule_in(Seconds delay, std::function<void()> action,
-                            std::string label) {
+EventId Engine::schedule_in(Seconds delay, Action action, const char* kind) {
   TAPESIM_ASSERT_MSG(delay.count() >= 0.0, "cannot schedule into the past");
-  return schedule_at(now_ + delay, std::move(action), std::move(label));
+  return schedule(now_ + delay, std::move(action), kind);
 }
 
-EventId Engine::schedule_at(Seconds at, std::function<void()> action,
-                            std::string label) {
+EventId Engine::schedule_at(Seconds at, Action action, const char* kind) {
+  return schedule(at, std::move(action), kind);
+}
+
+EventId Engine::schedule(Seconds at, Action&& action, const char* kind) {
   TAPESIM_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   TAPESIM_ASSERT_MSG(static_cast<bool>(action), "event action must be callable");
-  const EventId id = next_id_++;
-  if (trace_ != nullptr) trace_->on_schedule(now_, at, id, label);
-  queue_.push(Event{at, id, std::move(action), std::move(label)});
+  const EventId id = queue_.push(at, std::move(action), kind);
+  if (trace_ != nullptr) trace_->on_schedule(now_, at, id, kind);
   return id;
 }
 
@@ -39,13 +40,14 @@ bool Engine::cancel(EventId id) {
   return cancelled;
 }
 
-void Engine::dispatch(Event event) {
+void Engine::dispatch(Event& event) {
   TAPESIM_ASSERT_MSG(event.time >= now_, "time went backwards");
   now_ = event.time;
   ++dispatched_;
-  if (trace_ != nullptr) trace_->on_dispatch(now_, event.id, event.label);
+  if (trace_ != nullptr) trace_->on_dispatch(now_, event.id, event.kind);
   TAPESIM_LOG(kTrace) << "dispatch #" << event.id
-                      << (event.label.empty() ? "" : " ") << event.label;
+                      << (event.kind == nullptr ? "" : " ")
+                      << (event.kind == nullptr ? "" : event.kind);
   if (profile_ == nullptr) {
     event.action();
     return;
@@ -59,7 +61,7 @@ void Engine::dispatch(Event event) {
   profile_countdown_ = profile_stride_;
   const auto t0 = std::chrono::steady_clock::now();
   event.action();
-  profile_->on_dispatch_done(now_, event.label, wall_seconds_since(t0),
+  profile_->on_dispatch_done(now_, event.kind, wall_seconds_since(t0),
                              queue_.size());
 }
 
@@ -75,7 +77,10 @@ Seconds Engine::profiled_run(Loop&& loop) {
 
 Seconds Engine::run() {
   const auto loop = [this] {
-    while (!queue_.empty()) dispatch(queue_.pop());
+    while (!queue_.empty()) {
+      Event event = queue_.pop();
+      dispatch(event);
+    }
   };
   if (profile_ == nullptr) {
     loop();
@@ -87,7 +92,8 @@ Seconds Engine::run() {
 Seconds Engine::run_until(Seconds deadline) {
   const auto loop = [this, deadline] {
     while (!queue_.empty() && queue_.next_time() <= deadline) {
-      dispatch(queue_.pop());
+      Event event = queue_.pop();
+      dispatch(event);
     }
     if (now_ < deadline) now_ = deadline;
   };
@@ -99,7 +105,7 @@ Seconds Engine::run_until(Seconds deadline) {
 }
 
 void Engine::reset() {
-  while (!queue_.empty()) (void)queue_.pop();
+  queue_.clear();
   now_ = Seconds{0.0};
 }
 

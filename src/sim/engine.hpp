@@ -3,13 +3,12 @@
 // Single-threaded, run-to-completion semantics: `run()` repeatedly pops the
 // earliest event and executes its action; actions may schedule further
 // events (never in the past). Determinism: equal-time events dispatch in
-// scheduling order (see EventAfter in event.hpp).
+// scheduling order (see event_queue.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 
+#include "sim/action.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/profile.hpp"
 #include "sim/trace.hpp"
@@ -23,15 +22,17 @@ class Engine {
   [[nodiscard]] Seconds now() const { return now_; }
 
   /// Schedules `action` to run `delay` from now. Returns a handle usable
-  /// with cancel(). `delay` must be >= 0.
-  EventId schedule_in(Seconds delay, std::function<void()> action,
-                      std::string label = {});
+  /// with cancel() (never kNoEvent). `delay` must be >= 0. `kind` is a
+  /// static label (a string literal; nullptr = unlabeled) that trace and
+  /// profile hooks see; it must outlive the engine.
+  EventId schedule_in(Seconds delay, Action action,
+                      const char* kind = nullptr);
 
   /// Schedules `action` at absolute time `at` (>= now()).
-  EventId schedule_at(Seconds at, std::function<void()> action,
-                      std::string label = {});
+  EventId schedule_at(Seconds at, Action action, const char* kind = nullptr);
 
-  /// Cancels a pending event. Returns false if it already ran/was cancelled.
+  /// Cancels a pending event and destroys its action. Returns false if it
+  /// already ran, was cancelled, or the handle is stale.
   bool cancel(EventId id);
 
   /// Runs until the queue is empty. Returns the final simulation time.
@@ -63,18 +64,19 @@ class Engine {
   }
   [[nodiscard]] ProfileSink* profile_sink() const { return profile_; }
 
-  /// Resets time to 0 and discards pending events. Dispatch counters are
-  /// kept (they are cumulative engine statistics).
+  /// Resets time to 0 and discards pending events, destroying their
+  /// actions; their handles stay stale. Dispatch counters are kept (they
+  /// are cumulative engine statistics).
   void reset();
 
  private:
-  void dispatch(Event event);
+  EventId schedule(Seconds at, Action&& action, const char* kind);
+  void dispatch(Event& event);
   template <typename Loop>
   Seconds profiled_run(Loop&& loop);
 
   EventQueue queue_;
   Seconds now_{0.0};
-  EventId next_id_ = 1;
   std::uint64_t dispatched_ = 0;
   TraceSink* trace_ = nullptr;
   ProfileSink* profile_ = nullptr;

@@ -1,35 +1,30 @@
-// Discrete-event kernel: the event record.
+// Discrete-event kernel: event handles and the dispatched-event record.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 
+#include "sim/action.hpp"
 #include "util/units.hpp"
 
 namespace tapesim::sim {
 
-/// Monotonically increasing handle identifying a scheduled event; used for
-/// cancellation and for deterministic FIFO tie-breaking at equal timestamps.
+/// Handle of a scheduled event, issued by EventQueue: the low 32 bits name
+/// the event's slot, the high 32 bits the slot's generation while the event
+/// is pending. A handle is never 0 and never matches a later event in the
+/// same slot, so a stale handle cannot cancel someone else's event.
 using EventId = std::uint64_t;
 
-/// A scheduled occurrence. The action runs exactly once, at `time`, unless
-/// the event is cancelled first.
+/// What callers store for "no event scheduled"; never issued.
+inline constexpr EventId kNoEvent = 0;
+
+/// An event as it leaves the queue for dispatch. `kind` is a static label
+/// (a string literal such as "serve.transfer"; nullptr = unlabeled) that
+/// trace and profile hooks receive as-is, without building a string.
 struct Event {
   Seconds time;
-  EventId id = 0;
-  std::function<void()> action;
-  /// Optional human-readable tag surfaced by trace hooks; empty in hot paths.
-  std::string label;
-};
-
-/// Ordering: earlier time first; at equal times, lower id (i.e. scheduled
-/// earlier) first. Determinism of the whole simulator rests on this rule.
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.id > b.id;
-  }
+  EventId id = kNoEvent;
+  const char* kind = nullptr;
+  Action action;
 };
 
 }  // namespace tapesim::sim

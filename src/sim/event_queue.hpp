@@ -1,11 +1,17 @@
-// A binary min-heap of events with O(log n) push/pop and lazy cancellation.
+// The event queue: a binary min-heap of small entries over a slot array.
 //
-// We implement the heap by hand (rather than std::priority_queue) to support
-// cancellation and to make the tie-breaking contract explicit and testable.
+// The heap holds trivially copyable (time, seq, slot) entries ordered by
+// (time, seq); `seq` counts pushes, so equal-time events dispatch in
+// scheduling order — the rule the whole simulator's determinism rests on.
+// Each event's action and kind sit in a slot that never moves during a
+// sift; freed slots are recycled through a free list. Cancellation is an
+// O(1) generation check on the handle's slot: the action is destroyed at
+// once, and the dead heap entry is dropped when it reaches the top (the
+// top of the heap is always a live event).
 #pragma once
 
 #include <cstddef>
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -14,32 +20,59 @@ namespace tapesim::sim {
 
 class EventQueue {
  public:
-  /// Inserts an event; the id must be unique (Engine guarantees this).
-  void push(Event event);
+  /// Schedules `action` at `time` and returns its handle (never kNoEvent).
+  EventId push(Seconds time, Action&& action, const char* kind = nullptr);
 
-  /// Removes and returns the earliest non-cancelled event.
-  /// Precondition: !empty().
+  /// Removes and returns the earliest live event. Precondition: !empty().
   Event pop();
 
-  /// Time of the earliest pending event. Precondition: !empty().
+  /// Time of the earliest live event. Precondition: !empty().
   [[nodiscard]] Seconds next_time() const;
 
-  /// Marks an event as cancelled. O(1); the record is dropped when it
-  /// reaches the heap top. Returns false if the id is not pending.
+  /// Cancels a pending event and destroys its action. O(1). Returns false
+  /// if `id` is not pending: it already ran, was cancelled, was discarded
+  /// by clear(), or was never issued.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_count_; }
+  /// True while `id` names an event that has neither run nor been
+  /// cancelled.
+  [[nodiscard]] bool pending(EventId id) const;
+
+  /// Discards every pending event, destroying its action. Handles issued
+  /// before stay stale forever.
+  void clear();
+
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
  private:
+  struct Entry {
+    Seconds time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Slot {
+    Action action;
+    const char* kind = nullptr;
+    /// Odd while the slot's event is pending; bumped when it runs or is
+    /// cancelled and again when the slot is reused.
+    std::uint32_t generation = 0;
+    std::uint32_t next_free = 0;
+  };
+
+  void remove_top();
+  void drop_dead_top();
+  void free_slot(std::uint32_t slot);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void drop_cancelled_top();
 
-  std::vector<Event> heap_;
-  std::unordered_set<EventId> pending_;
-  std::unordered_set<EventId> cancelled_;
-  std::size_t live_count_ = 0;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::uint64_t next_seq_ = 0;
+  std::size_t live_ = 0;
 };
 
 }  // namespace tapesim::sim

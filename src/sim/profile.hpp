@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "util/units.hpp"
 
@@ -33,14 +32,14 @@ class ProfileSink {
     (void)dispatches;
   }
 
-  /// Called after a *sampled* event's action ran. `wall_s` covers the
-  /// action alone; `queue_depth` is the number of live events left
-  /// afterwards. Which dispatches are sampled is governed by
-  /// dispatch_sample_stride().
-  virtual void on_dispatch_done(Seconds sim_now, const std::string& label,
+  /// Called after a *sampled* event's action ran. `kind` is the event's
+  /// static label (nullptr = unlabeled); `wall_s` covers the action alone;
+  /// `queue_depth` is the number of live events left afterwards. Which
+  /// dispatches are sampled is governed by dispatch_sample_stride().
+  virtual void on_dispatch_done(Seconds sim_now, const char* kind,
                                 double wall_s, std::size_t queue_depth) {
     (void)sim_now;
-    (void)label;
+    (void)kind;
     (void)wall_s;
     (void)queue_depth;
   }

@@ -6,7 +6,7 @@
 
 namespace tapesim::sim {
 
-Resource::Ticket Resource::acquire(std::function<void()> on_granted) {
+Resource::Ticket Resource::acquire(Action on_granted) {
   TAPESIM_ASSERT_MSG(static_cast<bool>(on_granted),
                      "acquire needs a grant callback");
   if (observer_ != nullptr) observer_->on_acquire(*this);
@@ -30,23 +30,23 @@ bool Resource::cancel(Ticket ticket) {
   return false;
 }
 
-void Resource::acquire_for(Seconds busy, std::function<void()> on_done) {
-  acquire([this, busy, on_done = std::move(on_done)]() {
-    engine_->schedule_in(busy, [this, on_done]() {
+void Resource::acquire_for(Seconds busy, Action on_done) {
+  acquire([this, busy, on_done = std::move(on_done)]() mutable {
+    engine_->schedule_in(busy, [this, on_done = std::move(on_done)]() mutable {
       release();
       if (on_done) on_done();
     });
   });
 }
 
-void Resource::grant(std::function<void()> fn, Seconds asked) {
+void Resource::grant(Action fn, Seconds asked) {
   busy_ = true;
   acquired_at_ = engine_->now();
   ++grants_;
   if (observer_ != nullptr) observer_->on_grant(*this, acquired_at_ - asked);
   // Dispatch through the engine so grant callbacks never run re-entrantly
   // inside acquire()/release() call stacks.
-  engine_->schedule_in(Seconds{0.0}, std::move(fn), name_ + ":grant");
+  engine_->schedule_in(Seconds{0.0}, std::move(fn), kGrantKind);
 }
 
 void Resource::release() {

@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
+#include "sim/action.hpp"
 #include "sim/engine.hpp"
 #include "util/units.hpp"
 
@@ -45,6 +45,8 @@ class Resource {
   /// cancelled. Tickets are never reused.
   using Ticket = std::uint64_t;
   static constexpr Ticket kInvalidTicket = 0;
+  /// The kind every grant event carries.
+  static constexpr const char* kGrantKind = "resource.grant";
 
   Resource(Engine& engine, std::string name)
       : engine_(&engine), name_(std::move(name)) {}
@@ -57,7 +59,7 @@ class Resource {
   /// Requests the resource. If free, the grant fires as an immediate event
   /// (keeping all user code inside the event loop); otherwise it queues.
   /// The returned ticket can cancel the request while it is still queued.
-  Ticket acquire(std::function<void()> on_granted);
+  Ticket acquire(Action on_granted);
 
   /// Withdraws a queued waiter. Returns true if the waiter was removed;
   /// false if the ticket was already granted (the holder must still
@@ -67,7 +69,7 @@ class Resource {
 
   /// Convenience: hold the resource for `busy` time, then auto-release.
   /// `on_done` (optional) fires at release time.
-  void acquire_for(Seconds busy, std::function<void()> on_done = {});
+  void acquire_for(Seconds busy, Action on_done = {});
 
   /// Releases the resource; the next queued waiter (if any) is granted via
   /// an immediate event. Must be called exactly once per successful grant.
@@ -87,12 +89,12 @@ class Resource {
 
  private:
   struct Waiter {
-    std::function<void()> fn;
+    Action fn;
     Seconds asked{};
     Ticket ticket = kInvalidTicket;
   };
 
-  void grant(std::function<void()> fn, Seconds asked);
+  void grant(Action fn, Seconds asked);
 
   Engine* engine_;
   std::string name_;

@@ -6,7 +6,7 @@
 
 namespace tapesim::sim {
 
-void Semaphore::acquire(std::function<void()> on_granted) {
+void Semaphore::acquire(Action on_granted) {
   TAPESIM_ASSERT_MSG(static_cast<bool>(on_granted),
                      "acquire needs a grant callback");
   if (!unlimited() && in_use_ >= capacity_) {
@@ -16,10 +16,10 @@ void Semaphore::acquire(std::function<void()> on_granted) {
   grant(std::move(on_granted));
 }
 
-void Semaphore::grant(std::function<void()> fn) {
+void Semaphore::grant(Action fn) {
   ++in_use_;
   ++grants_;
-  engine_->schedule_in(Seconds{0.0}, std::move(fn), name_ + ":grant");
+  engine_->schedule_in(Seconds{0.0}, std::move(fn), kGrantKind);
 }
 
 void Semaphore::release() {

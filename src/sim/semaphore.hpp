@@ -8,15 +8,19 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
+#include <utility>
 
+#include "sim/action.hpp"
 #include "sim/engine.hpp"
 
 namespace tapesim::sim {
 
 class Semaphore {
  public:
+  /// The kind every grant event carries.
+  static constexpr const char* kGrantKind = "semaphore.grant";
+
   /// `capacity` == 0 means unlimited (every acquire granted immediately).
   Semaphore(Engine& engine, std::string name, std::uint32_t capacity)
       : engine_(&engine), name_(std::move(name)), capacity_(capacity) {}
@@ -26,9 +30,10 @@ class Semaphore {
 
   /// Requests a slot; `on_granted` runs (via an immediate event) once one
   /// is free. Each grant must be release()d exactly once.
-  void acquire(std::function<void()> on_granted);
+  void acquire(Action on_granted);
   void release();
 
+  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint32_t in_use() const { return in_use_; }
   [[nodiscard]] std::size_t queue_length() const { return waiting_.size(); }
@@ -38,13 +43,13 @@ class Semaphore {
   [[nodiscard]] Seconds wait_time() const { return wait_time_; }
 
  private:
-  void grant(std::function<void()> fn);
+  void grant(Action fn);
 
   Engine* engine_;
   std::string name_;
   std::uint32_t capacity_;
   std::uint32_t in_use_ = 0;
-  std::deque<std::pair<Seconds, std::function<void()>>> waiting_;
+  std::deque<std::pair<Seconds, Action>> waiting_;
   std::uint64_t grants_ = 0;
   Seconds wait_time_{};
 };

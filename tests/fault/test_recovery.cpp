@@ -94,6 +94,12 @@ void expect_reconciled(const metrics::RequestOutcome& o) {
       EXPECT_GT(o.bytes_unavailable.count(), 0u);
       EXPECT_LT(o.bytes_unavailable, o.bytes);
       break;
+    case RequestStatus::kDeadlineExpired:
+    case RequestStatus::kShed:
+      // These scenarios set no deadline and run no admission layer.
+      ADD_FAILURE() << "fault-only scenario ended as "
+                    << metrics::to_string(o.status);
+      break;
   }
 }
 

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/replication.hpp"
+#include "exp/experiment.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "sched/simulator.hpp"
 #include "sim/engine.hpp"
 
 namespace tapesim::obs {
@@ -129,6 +133,9 @@ TEST(Profiler, AttachedRunIsBitIdenticalInSimTime) {
                          });
     }
     engine.run();
+    // The profiler outlives this engine: unhook it before the engine dies,
+    // or ~Profiler would read the dead engine.
+    if (profiler != nullptr) profiler->detach();
     return fire_times;
   };
 
@@ -222,6 +229,77 @@ TEST(Profiler, ReattachMovesTheHook) {
   second.schedule_in(Seconds{1.0}, [] {});
   second.run();
   EXPECT_EQ(profiler.report().dispatches, 1u);
+}
+
+// Every event the scheduler books carries a static kind, so a profile of
+// a fault-heavy run (hardware and media faults, fail-slow with hedges and
+// quarantine, scrub, repair, deadlines) attributes all dispatch time by kind.
+TEST(Profiler, FaultOnSimulatorLabelsEveryEvent) {
+  exp::ExperimentConfig config;
+  config.spec.num_libraries = 2;
+  config.spec.library.drives_per_library = 3;
+  config.spec.library.tapes_per_library = 24;
+  config.spec.library.tape_capacity = 40_GB;
+  config.workload.num_objects = 800;
+  config.workload.num_requests = 60;
+  config.workload.min_objects_per_request = 2;
+  config.workload.max_objects_per_request = 8;
+  config.workload.object_groups = 20;
+  config.workload.min_object_size = Bytes{100ULL * 1000 * 1000};
+  config.workload.max_object_size = Bytes{1500ULL * 1000 * 1000};
+  config.seed = 11;
+  const exp::Experiment experiment(config);
+  const auto schemes = exp::make_standard_schemes(2);
+  const core::PlacementContext context{&experiment.workload(), &config.spec,
+                                       &experiment.clusters()};
+  core::ReplicationPolicy::Params replication;
+  replication.replicas = 2;
+  const core::PlacementPlan plan =
+      core::ReplicationPolicy(*schemes.parallel_batch, replication)
+          .place(context);
+
+  sched::SimulatorConfig cfg;
+  cfg.faults.seed = 5;
+  cfg.faults.mount_failure_prob = 0.05;
+  cfg.faults.media_error_per_gb = 0.002;
+  cfg.faults.drive_mtbf = Seconds{4e4};
+  cfg.faults.drive_mttr = Seconds{900.0};
+  cfg.faults.latent_decay_mtbf = Seconds{5000.0};
+  cfg.faults.failslow.drive_slow_mtbf = Seconds{1e4};
+  cfg.faults.failslow.drive_slow_duration = Seconds{5000.0};
+  cfg.faults.failslow.drive_severity_min = 0.02;
+  cfg.faults.failslow.drive_severity_max = 0.2;
+  cfg.detector.enabled = true;
+  cfg.detector.quarantine = true;
+  cfg.hedge.enabled = true;
+  cfg.hedge.min_history = 8;
+  cfg.scrub.enabled = true;
+  cfg.scrub.interval = Seconds{1000.0};
+  cfg.scrub.bandwidth_fraction = 0.5;
+  ASSERT_TRUE(cfg.try_validate().ok());
+  sched::RetrievalSimulator sim(plan, cfg);
+
+  Profiler profiler{1};
+  profiler.attach(sim.engine());
+  for (std::uint32_t r = 0; r < 40; ++r) {
+    sched::RequestContext ctx;
+    if (r % 3 == 0) ctx.deadline = sim.engine().now() + Seconds{5.0};
+    (void)sim.run_request(RequestId{r}, ctx);
+  }
+  const ProfileReport report = profiler.report();
+  ASSERT_GT(report.dispatches, 0u);
+  EXPECT_EQ(report.sampled_dispatches, report.dispatches);
+  std::string kinds;
+  for (const auto& [label, stats] : report.by_label) {
+    EXPECT_FALSE(label.empty()) << stats.count << " unlabeled dispatches";
+    kinds += " " + label;
+  }
+  for (const char* kind : {"serve.locate", "serve.transfer", "switch.exchange",
+                           "switch.load", "scrub.read", "deadline",
+                           "resource.grant"}) {
+    EXPECT_EQ(report.by_label.count(kind), 1u) << kind << " missing from"
+                                               << kinds;
+  }
 }
 
 }  // namespace

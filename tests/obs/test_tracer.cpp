@@ -34,11 +34,11 @@ struct RecordingSink : sim::TraceSink {
   std::vector<sim::EventId> cancelled;
 
   void on_schedule(Seconds now, Seconds at, sim::EventId id,
-                   const std::string& label) override {
-    scheduled.push_back({now, at, id, label});
+                   const char* kind) override {
+    scheduled.push_back({now, at, id, kind == nullptr ? "" : kind});
   }
   void on_dispatch(Seconds /*time*/, sim::EventId id,
-                   const std::string& /*label*/) override {
+                   const char* /*kind*/) override {
     dispatched.push_back(id);
   }
   void on_cancel(Seconds /*now*/, sim::EventId id) override {

@@ -180,7 +180,9 @@ TEST(Concurrent, PoissonArrivalsAreSortedAndDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].time.count(), b[i].time.count());
     EXPECT_EQ(a[i].request, b[i].request);
-    if (i > 0) EXPECT_GE(a[i].time.count(), a[i - 1].time.count());
+    if (i > 0) {
+      EXPECT_GE(a[i].time.count(), a[i - 1].time.count());
+    }
   }
   // Mean inter-arrival ~ 1/rate.
   EXPECT_NEAR(a.back().time.count() / 200.0, 100.0, 25.0);

@@ -113,9 +113,8 @@ TEST(Engine, ResetClearsPendingAndRewindsClock) {
 TEST(Engine, TraceSinkSeesDispatchesInOrder) {
   struct Recorder : TraceSink {
     std::vector<std::pair<double, std::string>> seen;
-    void on_dispatch(Seconds time, std::uint64_t,
-                     const std::string& label) override {
-      seen.emplace_back(time.count(), label);
+    void on_dispatch(Seconds time, EventId, const char* kind) override {
+      seen.emplace_back(time.count(), kind);
     }
   };
   Engine e;
@@ -181,9 +180,10 @@ struct RecordingProfileSink : ProfileSink {
     last_run_wall_s = wall_s;
     last_run_dispatches = count;
   }
-  void on_dispatch_done(Seconds sim_now, const std::string& label,
-                        double wall_s, std::size_t queue_depth) override {
-    dispatches.push_back({sim_now.count(), label, wall_s, queue_depth});
+  void on_dispatch_done(Seconds sim_now, const char* kind, double wall_s,
+                        std::size_t queue_depth) override {
+    dispatches.push_back(
+        {sim_now.count(), kind == nullptr ? "" : kind, wall_s, queue_depth});
   }
 };
 

@@ -53,8 +53,8 @@ TEST_P(PlanIoSchemes, RoundTripsAndResimulates) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, PlanIoSchemes,
                          ::testing::Values(0, 1, 2),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           const int i = info.param;
+                         [](const ::testing::TestParamInfo<int>& param) {
+                           const int i = param.param;
                            return std::string(i == 0   ? "pbp"
                                               : i == 1 ? "opp"
                                                        : "cpp");

@@ -94,7 +94,9 @@ TEST(Zipf, ProbabilitiesAreNormalizedAndMonotone) {
   double sum = 0.0;
   for (std::size_t r = 0; r < probs.size(); ++r) {
     sum += probs[r];
-    if (r > 0) EXPECT_LE(probs[r], probs[r - 1]);
+    if (r > 0) {
+      EXPECT_LE(probs[r], probs[r - 1]);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }

@@ -95,7 +95,9 @@ TEST(Generator, PopularityFollowsZipfOrdering) {
   for (std::size_t r = 0; r < wl.request_count(); ++r) {
     const double p = wl.requests()[r].probability;
     sum += p;
-    if (r > 0) EXPECT_LE(p, wl.requests()[r - 1].probability);
+    if (r > 0) {
+      EXPECT_LE(p, wl.requests()[r - 1].probability);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // Exact Zipf ratio: p[0] / p[9] == 10^0.7.

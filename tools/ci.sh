@@ -11,8 +11,10 @@ repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-echo "==> release build + tier1 tests"
-cmake --preset default
+# The release pass builds warning-clean: -Werror over the project's own
+# -Wall -Wextra -Wpedantic -Wshadow -Wconversion -Wsign-conversion set.
+echo "==> release build (-Werror) + tier1 tests"
+cmake --preset default -DTAPESIM_WERROR=ON
 cmake --build --preset default -j "$jobs"
 ctest --test-dir build -L tier1 --output-on-failure -j "$jobs"
 
