@@ -30,15 +30,6 @@ bool Resource::cancel(Ticket ticket) {
   return false;
 }
 
-void Resource::acquire_for(Seconds busy, Action on_done) {
-  acquire([this, busy, on_done = std::move(on_done)]() mutable {
-    engine_->schedule_in(busy, [this, on_done = std::move(on_done)]() mutable {
-      release();
-      if (on_done) on_done();
-    });
-  });
-}
-
 void Resource::grant(Action fn, Seconds asked) {
   busy_ = true;
   acquired_at_ = engine_->now();

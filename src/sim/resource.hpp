@@ -67,10 +67,6 @@ class Resource {
   /// remaining waiters is preserved.
   bool cancel(Ticket ticket);
 
-  /// Convenience: hold the resource for `busy` time, then auto-release.
-  /// `on_done` (optional) fires at release time.
-  void acquire_for(Seconds busy, Action on_done = {});
-
   /// Releases the resource; the next queued waiter (if any) is granted via
   /// an immediate event. Must be called exactly once per successful grant.
   void release();

@@ -58,26 +58,14 @@ TEST(Resource, QueueIsFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(Resource, AcquireForAutoReleases) {
-  Engine e;
-  Resource r(e, "robot");
-  std::vector<double> done;
-  e.schedule_in(Seconds{0.0}, [&] {
-    r.acquire_for(Seconds{5.0}, [&] { done.push_back(e.now().count()); });
-    r.acquire_for(Seconds{3.0}, [&] { done.push_back(e.now().count()); });
-  });
-  e.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_DOUBLE_EQ(done[0], 5.0);
-  EXPECT_DOUBLE_EQ(done[1], 8.0);
-  EXPECT_FALSE(r.busy());
-}
-
 TEST(Resource, BusyTimeAccumulates) {
   Engine e;
   Resource r(e, "robot");
-  e.schedule_in(Seconds{0.0}, [&] { r.acquire_for(Seconds{4.0}); });
-  e.schedule_in(Seconds{10.0}, [&] { r.acquire_for(Seconds{6.0}); });
+  const auto hold_for = [&](Seconds busy) {
+    r.acquire([&, busy] { e.schedule_in(busy, [&] { r.release(); }); });
+  };
+  e.schedule_in(Seconds{0.0}, [&] { hold_for(Seconds{4.0}); });
+  e.schedule_in(Seconds{10.0}, [&] { hold_for(Seconds{6.0}); });
   e.run();
   EXPECT_DOUBLE_EQ(r.busy_time().count(), 10.0);
   EXPECT_EQ(r.grants(), 2u);

@@ -41,6 +41,13 @@ ctest --test-dir build -L tier2-metastable --output-on-failure
 echo "==> perf scenario + regression gate (tier2-perf)"
 ctest --test-dir build -L tier2-perf --output-on-failure
 
+# The benchmark smoke is the only run of the five benchmark workloads'
+# output checks on the real fleets, and of traced runs reproducing
+# untraced ones. It builds its own Release benchmark binary under
+# .bench_build/.
+echo "==> benchmark smoke (benchmark/run.py --smoke)"
+python3 benchmark/run.py --smoke
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "==> done (fast mode: sanitizer pass skipped)"
   exit 0
