@@ -238,7 +238,7 @@ void PlacementPlan::validate() const {
 
 catalog::ObjectCatalog PlacementPlan::to_catalog() const {
   TAPESIM_ASSERT_MSG(aligned_, "catalog requires aligned offsets");
-  catalog::ObjectCatalog cat(spec_->total_tapes());
+  catalog::ObjectCatalog cat(spec_->total_tapes(), object_tape_.size());
   const auto tapes_per_lib = spec_->library.tapes_per_library;
   // Primaries first (insert_replica requires the primary to exist), then
   // the extra copies.
