@@ -62,6 +62,34 @@ BalanceAssignment balance_cluster(std::span<const ObjectId> members,
       break;  // member order as given
   }
 
+  auto has_room = [&](const TapeLoadState& t, Bytes size) {
+    return params.tape_capacity_cap.count() == 0 ||
+           t.used + size <= params.tape_capacity_cap;
+  };
+
+  BalanceAssignment out;
+
+  // A member fits some tape iff it fits the least-used one, and a walk that
+  // places nothing changes no tape. So when no member fits that tape, the
+  // walk below would send every member to overflow in `order`: return that
+  // at once. Most calls from place() are such offers of a deferred cluster
+  // to a fragmented batch.
+  if (params.tape_capacity_cap.count() != 0) {
+    const TapeLoadState& least_used = *std::min_element(
+        tapes.begin(), tapes.end(),
+        [](const TapeLoadState& a, const TapeLoadState& b) {
+          return a.used < b.used;
+        });
+    const bool any_fits =
+        std::any_of(order.begin(), order.end(), [&](ObjectId o) {
+          return has_room(least_used, workload.object_size(o));
+        });
+    if (!any_fits) {
+      out.overflow = std::move(order);
+      return out;
+    }
+  }
+
   Bytes cluster_bytes{};
   for (const ObjectId o : order) cluster_bytes += workload.object_size(o);
   const std::uint32_t ndrv =
@@ -70,24 +98,21 @@ BalanceAssignment balance_cluster(std::span<const ObjectId> members,
   // Select the ndrv least-loaded tapes for this cluster ("assign ndrv a
   // proper value based on info of C and tapes"), then, per Figure 3,
   // "sort m tapes in decreasing order based on workload" within the
-  // selection for the zig-zag walk.
+  // selection for the zig-zag walk. (load, tape id) is a strict total
+  // order, so sorting only the selected prefix picks the same tapes in the
+  // same order as sorting them all.
   std::vector<std::size_t> tape_order(tapes.size());
   for (std::size_t i = 0; i < tapes.size(); ++i) tape_order[i] = i;
-  std::sort(tape_order.begin(), tape_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (tapes[a].load != tapes[b].load)
-                return tapes[a].load < tapes[b].load;
-              return tapes[a].tape < tapes[b].tape;
-            });
+  std::partial_sort(tape_order.begin(),
+                    tape_order.begin() + static_cast<std::ptrdiff_t>(ndrv),
+                    tape_order.end(), [&](std::size_t a, std::size_t b) {
+                      if (tapes[a].load != tapes[b].load)
+                        return tapes[a].load < tapes[b].load;
+                      return tapes[a].tape < tapes[b].tape;
+                    });
   tape_order.resize(ndrv);
   std::reverse(tape_order.begin(), tape_order.end());
 
-  auto has_room = [&](const TapeLoadState& t, Bytes size) {
-    return params.tape_capacity_cap.count() == 0 ||
-           t.used + size <= params.tape_capacity_cap;
-  };
-
-  BalanceAssignment out;
   out.objects.reserve(order.size());
   out.tapes.reserve(order.size());
 

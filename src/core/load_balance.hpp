@@ -73,7 +73,10 @@ struct BalanceAssignment {
 /// loads. Implements Figure 3: members sorted by increasing load, tapes by
 /// decreasing workload, zig-zag assignment over the first `ndrv` tapes.
 /// If a zig-zag target tape lacks capacity, the least-used tape with room
-/// is substituted; objects fitting no tape land in `overflow`.
+/// is substituted; objects fitting no tape land in `overflow`, in the
+/// policy's member order. When no member fits the least-used tape, every
+/// member overflows and no tape changes; that case returns before any tape
+/// is sorted.
 BalanceAssignment balance_cluster(std::span<const ObjectId> members,
                                   std::span<TapeLoadState> tapes,
                                   const workload::Workload& workload,

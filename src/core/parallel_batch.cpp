@@ -100,20 +100,7 @@ PlacementPlan ParallelBatchPlacement::place(
     throw std::runtime_error("capacity utilization k must be in (0, 1]");
   }
 
-  // --- Steps 1-2: object probabilities and the density-sorted list. ---
-  std::vector<ObjectId> density_order(workload.object_count());
-  for (std::uint32_t i = 0; i < workload.object_count(); ++i) {
-    density_order[i] = ObjectId{i};
-  }
-  std::sort(density_order.begin(), density_order.end(),
-            [&](ObjectId a, ObjectId b) {
-              const double da = workload.probability_density(a);
-              const double db = workload.probability_density(b);
-              if (da != db) return da > db;
-              return a < b;
-            });
-
-  // --- Step 4 (or its ablation): allocation units in density order. ---
+  // --- Steps 1-2 and 4 (or its ablation): units in density order. ---
   std::vector<Unit> units;
   if (params_.cluster_refinement) {
     const auto& clusters = context.clusters->clusters();
@@ -128,6 +115,18 @@ PlacementPlan ParallelBatchPlacement::place(
       return a.members.front() < b.members.front();
     });
   } else {
+    // Without refinement the units are the density-sorted object list.
+    std::vector<ObjectId> density_order(workload.object_count());
+    for (std::uint32_t i = 0; i < workload.object_count(); ++i) {
+      density_order[i] = ObjectId{i};
+    }
+    std::sort(density_order.begin(), density_order.end(),
+              [&](ObjectId a, ObjectId b) {
+                const double da = workload.probability_density(a);
+                const double db = workload.probability_density(b);
+                if (da != db) return da > db;
+                return a < b;
+              });
     units.reserve(workload.object_count());
     for (const ObjectId o : density_order) {
       units.push_back(make_unit({o}, workload));
@@ -189,8 +188,7 @@ PlacementPlan ParallelBatchPlacement::place(
   // batch. A fresh batch that cannot take an object at all means the
   // object exceeds the per-tape cap — unplaceable, so throw.
   auto place_members = [&](const std::vector<ObjectId>& members) {
-    const auto assignment =
-        balance_cluster(members, batch_state, workload, balance);
+    auto assignment = balance_cluster(members, batch_state, workload, balance);
     Bytes placed{};
     for (std::size_t i = 0; i < assignment.objects.size(); ++i) {
       plan.assign(assignment.objects[i], assignment.tapes[i]);
@@ -201,7 +199,7 @@ PlacementPlan ParallelBatchPlacement::place(
         throw std::runtime_error(
             "parallel batch placement: object exceeds the per-tape cap");
       }
-      deferred.push_back(make_unit(assignment.overflow, workload));
+      deferred.push_back(make_unit(std::move(assignment.overflow), workload));
     }
     return placed;
   };
