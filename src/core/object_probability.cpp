@@ -21,17 +21,17 @@ PlacementPlan ObjectProbabilityPlacement::place(
     throw std::runtime_error("capacity utilization k must be in (0, 1]");
   }
 
+  // Each object's sort key, computed once rather than per comparison.
   std::vector<ObjectId> order(workload.object_count());
+  std::vector<double> key(workload.object_count());
   for (std::uint32_t i = 0; i < workload.object_count(); ++i) {
     order[i] = ObjectId{i};
+    key[i] = params_.sort_by_density ? workload.probability_density(order[i])
+                                     : workload.object_probability(order[i]);
   }
   std::sort(order.begin(), order.end(), [&](ObjectId a, ObjectId b) {
-    const double pa = params_.sort_by_density
-                          ? workload.probability_density(a)
-                          : workload.object_probability(a);
-    const double pb = params_.sort_by_density
-                          ? workload.probability_density(b)
-                          : workload.object_probability(b);
+    const double pa = key[a.index()];
+    const double pb = key[b.index()];
     if (pa != pb) return pa > pb;
     return a < b;
   });
