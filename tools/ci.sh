@@ -36,6 +36,11 @@ ctest --test-dir build -L tier2-crash --output-on-failure
 echo "==> metastable governor bench self-check (tier2-metastable)"
 ctest --test-dir build -L tier2-metastable --output-on-failure
 
+# Every figure, table and ablation CSV under results/ must regenerate
+# byte for byte (tools/check_figures.sh).
+echo "==> figure CSVs reproduce (tier2-figures)"
+ctest --test-dir build -L tier2-figures --output-on-failure
+
 # Perf scenario + regression gate against results/perf/ baselines. Release
 # tree only: sanitizer builds skew every wall/RSS number the gate reads.
 echo "==> perf scenario + regression gate (tier2-perf)"
