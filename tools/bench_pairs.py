@@ -10,8 +10,9 @@ in Release mode into .bench_build/pairs/<sha>/build. Both are reused while REV
 names the same commit, so only committed code is measured. Pair i runs the base
 revision first when i is even and the new one first when i is odd, each side
 through its own benchmark/run.py. Every run keeps its JSON and its log under
-.bench_build/pairs/runs/<workload>-seed<N>-<base>-<new>-<time>/. The script
-then prints each side's fingerprints and whether they match, and ends by
+.bench_build/pairs/runs/<workload>-seed<N>-<base>-<new>-<time>/, and each run
+prints its fingerprint, setup_s, requests_per_host_s and peak_rss_mib. The
+script then prints each side's fingerprints and whether they match, and ends by
 running this checkout's benchmark/compare.py on the runs, pair by pair. It
 exits with compare.py's status, or 1 when a build or a run fails.
 """
@@ -96,9 +97,10 @@ def run(side, src, binary, args, out_dir):
     if code != 0 or not result.is_file():
         fail(f"{side} run failed (exit {code}); log in {out_dir / 'run.log'}")
     data = json.loads(result.read_text())
-    rate = data["metrics"].get("requests_per_host_s", {}).get("value")
-    print(f"  {side:4s} fingerprint {data['fingerprint']}  "
-          f"requests_per_host_s {rate}")
+    shown = "  ".join(f"{name} {data['metrics'].get(name, {}).get('value')}"
+                      for name in ("setup_s", "requests_per_host_s",
+                                   "peak_rss_mib"))
+    print(f"  {side:4s} fingerprint {data['fingerprint']}  {shown}")
     return result
 
 
