@@ -99,6 +99,35 @@ TEST_F(SystemDeath, UnmountOfUnmountedAborts) {
   EXPECT_DEATH(sys.note_unmounted(TapeId{3}), "not mounted");
 }
 
+// The id accessors check their argument in every build; an invalid id and
+// the first id past the fleet both abort instead of indexing out of range.
+TEST_F(SystemDeath, OutOfRangeIdsAbort) {
+  TapeSystem sys(spec, engine);
+  const TapeSystem& csys = sys;
+  const LibraryId past_lib{spec.num_libraries};
+  const DriveId past_drive{spec.total_drives()};
+  const TapeId past_tape{spec.total_tapes()};
+  for (const LibraryId l : {LibraryId{}, past_lib}) {
+    EXPECT_DEATH((void)sys.library(l), "invariant violated");
+    EXPECT_DEATH((void)csys.library(l), "invariant violated");
+  }
+  for (const DriveId d : {DriveId{}, past_drive}) {
+    EXPECT_DEATH((void)sys.library_of_drive(d), "invariant violated");
+    EXPECT_DEATH((void)sys.drive(d), "invariant violated");
+    EXPECT_DEATH((void)csys.drive(d), "invariant violated");
+  }
+  for (const TapeId t : {TapeId{}, past_tape}) {
+    EXPECT_DEATH((void)sys.library_of_tape(t), "invariant violated");
+    EXPECT_DEATH((void)sys.drive_holding(t), "invariant violated");
+  }
+  // A library hands out only its own drives: drive 8 is library 1's first.
+  TapeLibrary& lib0 = sys.library(LibraryId{0});
+  const TapeLibrary& clib0 = lib0;
+  EXPECT_DEATH((void)lib0.drive(DriveId{8}), "does not belong");
+  EXPECT_DEATH((void)clib0.drive(DriveId{8}), "does not belong");
+  EXPECT_DEATH((void)lib0.drive(DriveId{}), "does not belong");
+}
+
 TEST_F(SystemFixture, SingleLibrarySystem) {
   spec.num_libraries = 1;
   TapeSystem sys(spec, engine);
