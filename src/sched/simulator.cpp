@@ -115,13 +115,9 @@ bool RetrievalSimulator::switch_eligible(DriveId d) const {
 }
 
 std::vector<catalog::TapeExtent> RetrievalSimulator::plan_extent_order(
-    DriveId d) const {
-  const tape::TapeDrive& drive = system_.drive(d);
-  const TapeId tp = drive.mounted();
-  const auto it = needed_.find(tp.value());
-  TAPESIM_ASSERT(it != needed_.end());
-  std::vector<catalog::TapeExtent> extents = it->second;
+    DriveId d, std::vector<catalog::TapeExtent> extents) const {
   if (!config_.optimize_seek_order || extents.size() < 2) return extents;
+  const tape::TapeDrive& drive = system_.drive(d);
 
   std::sort(extents.begin(), extents.end(),
             [](const catalog::TapeExtent& a, const catalog::TapeExtent& b) {
@@ -916,7 +912,7 @@ void RetrievalSimulator::serve_mounted(DriveId d) {
     next_action(d);
     return;
   }
-  auto extents = plan_extent_order(d);
+  auto extents = plan_extent_order(d, std::move(it->second));
   needed_.erase(it);
   drive_req_[d.index()].used = true;
   ctx_[d.index()].busy = true;
@@ -2234,6 +2230,8 @@ std::uint32_t RetrievalSimulator::repair_concurrency_cap() const {
 }
 
 bool RetrievalSimulator::repair_claimed(TapeId tp) const {
+  // active_repairs_ counts the drives holding a job (check_job_counts).
+  if (active_repairs_ == 0) return false;
   for (const DriveCtx& c : ctx_) {
     if (!c.repair.has_value()) continue;
     // Only the tape of the job's active phase is claimed; the read source
@@ -2243,6 +2241,21 @@ bool RetrievalSimulator::repair_claimed(TapeId tp) const {
     if (using_tp == tp) return true;
   }
   return false;
+}
+
+void RetrievalSimulator::check_job_counts() const {
+  std::uint32_t repairing = 0;
+  std::uint32_t scrubbing = 0;
+  for (const DriveCtx& c : ctx_) {
+    if (c.repair.has_value()) ++repairing;
+    if (c.scrub.has_value()) ++scrubbing;
+  }
+  TAPESIM_ASSERT_MSG(repairing == active_repairs_,
+                     "active_repairs_ differs from the drives holding a "
+                     "repair job");
+  TAPESIM_ASSERT_MSG(scrubbing == active_scrubs_,
+                     "active_scrubs_ differs from the drives holding a "
+                     "scrub pass");
 }
 
 void RetrievalSimulator::requeue_if_needed(TapeId tp) {
@@ -2764,6 +2777,8 @@ void RetrievalSimulator::drain_repairs() {
 // --- background scrubbing -----------------------------------------------
 
 bool RetrievalSimulator::scrub_claimed(TapeId tp) const {
+  // active_scrubs_ counts the drives holding a pass (check_job_counts).
+  if (active_scrubs_ == 0) return false;
   for (const DriveCtx& c : ctx_) {
     if (c.scrub.has_value() && c.scrub->tape == tp) return true;
   }
@@ -3225,6 +3240,7 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
     if (config_.tracer != nullptr) {
       config_.tracer->set_current_request(RequestId{});
     }
+    check_job_counts();
     in_request_ = false;
     return outcome;
   }
@@ -3373,33 +3389,26 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
 
   // Drives whose mounted tape holds nothing requested may switch at once.
   // Least-popular mounted tapes go first (the [11] replacement policy);
-  // empty drives are cheapest of all and lead the order.
-  std::vector<DriveId> idle_candidates;
+  // empty drives are cheapest of all and lead the order. Each drive's
+  // eviction cost is keyed once; (cost, drive) is a strict total order.
+  const auto& popularity = plan_->mount_policy.tape_popularity;
+  std::vector<std::pair<double, DriveId>> idle_candidates;
   for (std::uint32_t dv = 0; dv < plan_->spec().total_drives(); ++dv) {
     const DriveId d{dv};
     if (!switch_eligible(d)) continue;
     if (fault_ != nullptr && !drive_available(d)) continue;
     const tape::TapeDrive& drive = system_.drive(d);
-    if (!drive.empty() && needed_.count(drive.mounted().value()) != 0) {
+    if (drive.empty()) {
+      idle_candidates.emplace_back(-1.0, d);
+    } else if (needed_.count(drive.mounted().value()) != 0) {
       continue;  // will serve first, then fall into next_action()
+    } else {
+      idle_candidates.emplace_back(
+          popularity.empty() ? 0.0 : popularity[drive.mounted().index()], d);
     }
-    idle_candidates.push_back(d);
   }
-  const auto& popularity = plan_->mount_policy.tape_popularity;
-  auto eviction_cost = [&](DriveId d) {
-    const tape::TapeDrive& drive = system_.drive(d);
-    if (drive.empty()) return -1.0;
-    if (popularity.empty()) return 0.0;
-    return popularity[drive.mounted().index()];
-  };
-  std::sort(idle_candidates.begin(), idle_candidates.end(),
-            [&](DriveId a, DriveId b) {
-              const double ca = eviction_cost(a);
-              const double cb = eviction_cost(b);
-              if (ca != cb) return ca < cb;
-              return a < b;
-            });
-  for (const DriveId d : idle_candidates) {
+  std::sort(idle_candidates.begin(), idle_candidates.end());
+  for (const auto& [cost, d] : idle_candidates) {
     engine_.schedule_in(
         Seconds{0.0}, [this, d]() { next_action(d); }, "drive.next");
   }
@@ -3426,6 +3435,7 @@ metrics::RequestOutcome RetrievalSimulator::run_request(
                      "request finished with unserved objects");
   TAPESIM_ASSERT(needed_.empty());
   TAPESIM_ASSERT_MSG(hedges_.empty(), "hedge race outlived its request");
+  check_job_counts();
 
   metrics::RequestOutcome outcome;
   outcome.request = id;

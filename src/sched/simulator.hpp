@@ -277,9 +277,10 @@ class RetrievalSimulator {
   void cancel_deadline_event();
   /// One extent will never be served because the deadline passed.
   void extent_expired(const catalog::TapeExtent& extent);
-  /// Ordered extent list for the mounted tape of `d`, per config.
+  /// Puts `extents`, the demand on the tape mounted in `d`, in serving
+  /// order per config.
   [[nodiscard]] std::vector<catalog::TapeExtent> plan_extent_order(
-      DriveId d) const;
+      DriveId d, std::vector<catalog::TapeExtent> extents) const;
 
   // --- fault handling (all no-ops / never reached when fault_ is null) ---
   /// Schedules the completion of a drive activity as an event of `kind`.
@@ -464,6 +465,10 @@ class RetrievalSimulator {
   /// True when an in-flight repair job is currently using `tp` (the tape
   /// of its active phase, which may not be mounted yet).
   [[nodiscard]] bool repair_claimed(TapeId tp) const;
+  /// Aborts unless active_repairs_ and active_scrubs_ equal the drives
+  /// holding a repair job and a scrub pass: the claim scans return early
+  /// on a zero count, so a miscount would hide a claim. Run per request.
+  void check_job_counts() const;
   /// Restores the foreground queue invariant for `tp` after a repair claim
   /// drops: a needed tape with no holder, no switch en route, and no
   /// repair claim must sit in its library queue.

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -40,15 +41,26 @@ EventId EventQueue::push(Seconds time, Action&& action, const char* kind) {
   ++s.generation;  // odd: pending
   s.action = std::move(action);
   s.kind = kind;
-  heap_.push_back(Entry{time, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  const Entry entry{time, next_seq_++, slot};
+  // The lane holds one time only: a raw queue accepts pushes before the
+  // last pop, so the lane may still hold a later time than last_pop_.
+  if (time == last_pop_ && (lane_empty() || lane_[lane_head_].time == time)) {
+    lane_.push_back(entry);
+  } else {
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1);
+  }
   ++live_;
   return make_id(slot, s.generation);
 }
 
 Event EventQueue::pop() {
-  TAPESIM_ASSERT_MSG(!heap_.empty(), "pop from empty event queue");
-  const Entry top = heap_.front();
+  TAPESIM_ASSERT_MSG(!empty(), "pop from empty event queue");
+  // Both fronts are live; the earlier by (time, seq) fires first.
+  const bool from_lane =
+      !lane_empty() &&
+      (heap_.empty() || before(lane_[lane_head_], heap_.front()));
+  const Entry top = from_lane ? lane_[lane_head_] : heap_.front();
   Slot& s = slots_[top.slot];
   Event event{top.time, make_id(top.slot, s.generation), s.kind,
               std::move(s.action)};
@@ -56,14 +68,22 @@ Event EventQueue::pop() {
   s.kind = nullptr;
   free_slot(top.slot);
   --live_;
-  remove_top();
-  drop_dead_top();
+  if (from_lane) {
+    ++lane_head_;
+    drop_dead_lane_front();
+  } else {
+    remove_top();
+    drop_dead_top();
+  }
+  last_pop_ = top.time;
   return event;
 }
 
 Seconds EventQueue::next_time() const {
-  TAPESIM_ASSERT_MSG(!heap_.empty(), "next_time of empty event queue");
-  return heap_.front().time;
+  TAPESIM_ASSERT_MSG(!empty(), "next_time of empty event queue");
+  if (lane_empty()) return heap_.front().time;
+  if (heap_.empty()) return lane_[lane_head_].time;
+  return std::min(lane_[lane_head_].time, heap_.front().time);
 }
 
 bool EventQueue::pending(EventId id) const {
@@ -78,26 +98,33 @@ bool EventQueue::cancel(EventId id) {
   Slot& s = slots_[slot_of(id)];
   // Destroyed on return, once the queue is consistent again.
   Action doomed = std::move(s.action);
-  ++s.generation;  // even: cancelled; the heap entry is now dead
+  ++s.generation;  // even: cancelled; its heap or lane entry is now dead
   s.kind = nullptr;
   --live_;
   drop_dead_top();
+  drop_dead_lane_front();
   return true;
 }
 
 void EventQueue::clear() {
-  std::vector<Entry> entries;
-  entries.swap(heap_);
-  for (const Entry& e : entries) {
-    Slot& s = slots_[e.slot];
-    Action doomed = std::move(s.action);
-    if ((s.generation & 1u) != 0) {
-      ++s.generation;
-      --live_;
-    }
-    s.kind = nullptr;
-    free_slot(e.slot);
+  std::vector<Entry> heap;
+  std::vector<Entry> lane;
+  heap.swap(heap_);
+  lane.swap(lane_);
+  const std::size_t lane_head = std::exchange(lane_head_, 0);
+  for (const Entry& e : heap) discard(e);
+  for (std::size_t i = lane_head; i < lane.size(); ++i) discard(lane[i]);
+}
+
+void EventQueue::discard(const Entry& e) {
+  Slot& s = slots_[e.slot];
+  Action doomed = std::move(s.action);
+  if ((s.generation & 1u) != 0) {
+    ++s.generation;
+    --live_;
   }
+  s.kind = nullptr;
+  free_slot(e.slot);
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {
@@ -116,10 +143,20 @@ void EventQueue::remove_top() {
 }
 
 void EventQueue::drop_dead_top() {
-  while (!heap_.empty() &&
-         (slots_[heap_.front().slot].generation & 1u) == 0) {
+  while (!heap_.empty() && dead(heap_.front())) {
     free_slot(heap_.front().slot);
     remove_top();
+  }
+}
+
+void EventQueue::drop_dead_lane_front() {
+  while (!lane_empty() && dead(lane_[lane_head_])) {
+    free_slot(lane_[lane_head_].slot);
+    ++lane_head_;
+  }
+  if (lane_empty()) {
+    lane_.clear();
+    lane_head_ = 0;
   }
 }
 

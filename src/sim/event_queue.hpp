@@ -1,17 +1,27 @@
-// The event queue: a binary min-heap of small entries over a slot array.
+// The event queue: a binary min-heap of small entries over a slot array,
+// plus a same-instant lane.
 //
-// The heap holds trivially copyable (time, seq, slot) entries ordered by
+// Entries are trivially copyable (time, seq, slot) records ordered by
 // (time, seq); `seq` counts pushes, so equal-time events dispatch in
 // scheduling order — the rule the whole simulator's determinism rests on.
 // Each event's action and kind sit in a slot that never moves during a
 // sift; freed slots are recycled through a free list. Cancellation is an
 // O(1) generation check on the handle's slot: the action is destroyed at
-// once, and the dead heap entry is dropped when it reaches the top (the
-// top of the heap is always a live event).
+// once, and the dead entry is dropped when it reaches the front of the
+// heap or the lane (both fronts are always live events).
+//
+// The lane is a FIFO for events scheduled at the instant last popped, the
+// zero-delay follow-ups that make up a large share of a simulation's
+// events. A push joins it instead of the heap when its time equals the
+// last pop's and the lane is empty or already holds that time, so the lane
+// holds one time in seq order; `pop` takes the earlier of the lane front
+// and the heap top by (time, seq), and the dispatch order is exactly the
+// heap-only order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -42,7 +52,7 @@ class EventQueue {
   /// before stay stale forever.
   void clear();
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] bool empty() const { return heap_.empty() && lane_empty(); }
   [[nodiscard]] std::size_t size() const { return live_; }
 
  private:
@@ -60,8 +70,14 @@ class EventQueue {
     std::uint32_t next_free = 0;
   };
 
+  [[nodiscard]] bool lane_empty() const { return lane_head_ == lane_.size(); }
+  [[nodiscard]] bool dead(const Entry& e) const {
+    return (slots_[e.slot].generation & 1u) == 0;
+  }
+  void discard(const Entry& e);
   void remove_top();
   void drop_dead_top();
+  void drop_dead_lane_front();
   void free_slot(std::uint32_t slot);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
@@ -69,6 +85,12 @@ class EventQueue {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   std::vector<Entry> heap_;
+  /// The same-instant lane: entries [lane_head_, size) are queued, all at
+  /// one time and in seq order. Its storage is reused once it drains.
+  std::vector<Entry> lane_;
+  std::size_t lane_head_ = 0;
+  /// Time of the last pop; before the first one no push joins the lane.
+  Seconds last_pop_{-std::numeric_limits<double>::infinity()};
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;

@@ -31,24 +31,9 @@ TapeId TapeLibrary::tape_id(std::uint32_t slot) const {
   return TapeId{first_tape_.value() + slot};
 }
 
-bool TapeLibrary::owns_drive(DriveId d) const {
-  return d.valid() && d.value() >= first_drive_.value() &&
-         d.value() < first_drive_.value() + spec_.drives_per_library;
-}
-
 bool TapeLibrary::owns_tape(TapeId t) const {
   return t.valid() && t.value() >= first_tape_.value() &&
          t.value() < first_tape_.value() + spec_.tapes_per_library;
-}
-
-TapeDrive& TapeLibrary::drive(DriveId d) {
-  TAPESIM_ASSERT_MSG(owns_drive(d), "drive does not belong to this library");
-  return drives_[d.value() - first_drive_.value()];
-}
-
-const TapeDrive& TapeLibrary::drive(DriveId d) const {
-  TAPESIM_ASSERT_MSG(owns_drive(d), "drive does not belong to this library");
-  return drives_[d.value() - first_drive_.value()];
 }
 
 }  // namespace tapesim::tape

@@ -13,6 +13,7 @@
 #include "sim/resource.hpp"
 #include "tape/drive.hpp"
 #include "tape/specs.hpp"
+#include "util/assert.hpp"
 #include "util/ids.hpp"
 
 namespace tapesim::tape {
@@ -43,11 +44,20 @@ class TapeLibrary {
   /// Global id of the local tape at `slot` (0-based).
   [[nodiscard]] TapeId tape_id(std::uint32_t slot) const;
 
-  [[nodiscard]] bool owns_drive(DriveId d) const;
+  [[nodiscard]] bool owns_drive(DriveId d) const {
+    return d.valid() && d.value() >= first_drive_.value() &&
+           d.value() < first_drive_.value() + spec_.drives_per_library;
+  }
   [[nodiscard]] bool owns_tape(TapeId t) const;
 
-  [[nodiscard]] TapeDrive& drive(DriveId d);
-  [[nodiscard]] const TapeDrive& drive(DriveId d) const;
+  [[nodiscard]] TapeDrive& drive(DriveId d) {
+    TAPESIM_ASSERT_MSG(owns_drive(d), "drive does not belong to this library");
+    return drives_[d.value() - first_drive_.value()];
+  }
+  [[nodiscard]] const TapeDrive& drive(DriveId d) const {
+    TAPESIM_ASSERT_MSG(owns_drive(d), "drive does not belong to this library");
+    return drives_[d.value() - first_drive_.value()];
+  }
   [[nodiscard]] std::vector<TapeDrive>& drives() { return drives_; }
   [[nodiscard]] const std::vector<TapeDrive>& drives() const {
     return drives_;

@@ -40,41 +40,6 @@ TapeSystem::TapeSystem(const SystemSpec& spec, sim::Engine& engine)
   library_downtime_.assign(spec_.num_libraries, Seconds{});
 }
 
-TapeLibrary& TapeSystem::library(LibraryId id) {
-  TAPESIM_ASSERT(id.valid() && id.index() < libraries_.size());
-  return libraries_[id.index()];
-}
-
-const TapeLibrary& TapeSystem::library(LibraryId id) const {
-  TAPESIM_ASSERT(id.valid() && id.index() < libraries_.size());
-  return libraries_[id.index()];
-}
-
-LibraryId TapeSystem::library_of_drive(DriveId d) const {
-  TAPESIM_ASSERT(d.valid() && d.value() < spec_.total_drives());
-  return LibraryId{d.value() / spec_.library.drives_per_library};
-}
-
-LibraryId TapeSystem::library_of_tape(TapeId t) const {
-  TAPESIM_ASSERT(t.valid() && t.value() < spec_.total_tapes());
-  return LibraryId{t.value() / spec_.library.tapes_per_library};
-}
-
-TapeDrive& TapeSystem::drive(DriveId d) {
-  return library(library_of_drive(d)).drive(d);
-}
-
-const TapeDrive& TapeSystem::drive(DriveId d) const {
-  return library(library_of_drive(d)).drive(d);
-}
-
-std::optional<DriveId> TapeSystem::drive_holding(TapeId t) const {
-  TAPESIM_ASSERT(t.valid() && t.index() < tape_on_drive_.size());
-  const DriveId d = tape_on_drive_[t.index()];
-  if (!d.valid()) return std::nullopt;
-  return d;
-}
-
 void TapeSystem::note_mounted(TapeId t, DriveId d) {
   TAPESIM_ASSERT_MSG(library_of_tape(t) == library_of_drive(d),
                      "tapes never leave their own library");

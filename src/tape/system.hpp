@@ -11,6 +11,7 @@
 #include "sim/engine.hpp"
 #include "tape/library.hpp"
 #include "tape/specs.hpp"
+#include "util/assert.hpp"
 #include "util/ids.hpp"
 
 namespace tapesim::tape {
@@ -62,21 +63,44 @@ class TapeSystem {
     return spec_.num_libraries;
   }
 
-  [[nodiscard]] TapeLibrary& library(LibraryId id);
-  [[nodiscard]] const TapeLibrary& library(LibraryId id) const;
+  // The id accessors below sit on every scheduler path, so they are
+  // defined here to inline; each still checks its id in every build.
+  [[nodiscard]] TapeLibrary& library(LibraryId id) {
+    TAPESIM_ASSERT(id.valid() && id.index() < libraries_.size());
+    return libraries_[id.index()];
+  }
+  [[nodiscard]] const TapeLibrary& library(LibraryId id) const {
+    TAPESIM_ASSERT(id.valid() && id.index() < libraries_.size());
+    return libraries_[id.index()];
+  }
   [[nodiscard]] std::vector<TapeLibrary>& libraries() { return libraries_; }
   [[nodiscard]] const std::vector<TapeLibrary>& libraries() const {
     return libraries_;
   }
 
-  [[nodiscard]] LibraryId library_of_drive(DriveId d) const;
-  [[nodiscard]] LibraryId library_of_tape(TapeId t) const;
+  [[nodiscard]] LibraryId library_of_drive(DriveId d) const {
+    TAPESIM_ASSERT(d.valid() && d.value() < spec_.total_drives());
+    return LibraryId{d.value() / spec_.library.drives_per_library};
+  }
+  [[nodiscard]] LibraryId library_of_tape(TapeId t) const {
+    TAPESIM_ASSERT(t.valid() && t.value() < spec_.total_tapes());
+    return LibraryId{t.value() / spec_.library.tapes_per_library};
+  }
 
-  [[nodiscard]] TapeDrive& drive(DriveId d);
-  [[nodiscard]] const TapeDrive& drive(DriveId d) const;
+  [[nodiscard]] TapeDrive& drive(DriveId d) {
+    return library(library_of_drive(d)).drive(d);
+  }
+  [[nodiscard]] const TapeDrive& drive(DriveId d) const {
+    return library(library_of_drive(d)).drive(d);
+  }
 
   /// The drive currently holding `t`, or nullopt if the tape is in its cell.
-  [[nodiscard]] std::optional<DriveId> drive_holding(TapeId t) const;
+  [[nodiscard]] std::optional<DriveId> drive_holding(TapeId t) const {
+    TAPESIM_ASSERT(t.valid() && t.index() < tape_on_drive_.size());
+    const DriveId d = tape_on_drive_[t.index()];
+    if (!d.valid()) return std::nullopt;
+    return d;
+  }
   [[nodiscard]] bool is_mounted(TapeId t) const {
     return drive_holding(t).has_value();
   }

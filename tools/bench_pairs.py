@@ -14,7 +14,9 @@ through its own benchmark/run.py. Every run keeps its JSON and its log under
 prints its fingerprint, setup_s, requests_per_host_s and peak_rss_mib. The
 script then prints each side's fingerprints and whether they match, and ends by
 running this checkout's benchmark/compare.py on the runs, pair by pair. It
-exits with compare.py's status, or 1 when a build or a run fails.
+exits with compare.py's status, or 1 when a build or a run fails or when the
+two sides' fingerprint sets differ: a change that moves modelled outcomes
+fails even when every metric moved the "better" way.
 """
 
 import argparse
@@ -143,7 +145,13 @@ def main():
     compare = [sys.executable, str(ROOT / "benchmark" / "compare.py"),
                "--base"] + [str(p) for p in results["base"]] + \
               ["--new"] + [str(p) for p in results["new"]]
-    sys.exit(subprocess.run(compare, cwd=ROOT).returncode)
+    code = subprocess.run(compare, cwd=ROOT).returncode
+    if prints["base"] != prints["new"]:
+        print("bench_pairs.py: fingerprints differ: base "
+              f"{', '.join(prints['base'])}; new {', '.join(prints['new'])}",
+              file=sys.stderr)
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
